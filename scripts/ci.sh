@@ -6,6 +6,7 @@
 #
 #   scripts/ci.sh            # full gate
 #   scripts/ci.sh --fast     # tier-1 + smokes only, skip sanitizers
+#   PERFBENCH=1 scripts/ci.sh --fast   # plus the perfbench self-test
 #
 # The TSan configuration (scripts/sanitize.sh thread) is not part of
 # the default gate — it roughly triples runtime — but is the tree that
@@ -83,6 +84,16 @@ if [[ -n "${FORECAST_FUZZ_CASES:-}" ]]; then
   step "long forecast fuzz gate: forecast_fuzz_long (FORECAST_FUZZ_CASES=${FORECAST_FUZZ_CASES})"
   FORECAST_FUZZ_CASES="$FORECAST_FUZZ_CASES" ctest --test-dir "$BUILD" \
       --output-on-failure -R '^forecast_fuzz_long$'
+fi
+
+# Benchmark self-test, opt-in: export PERFBENCH=1 to run the perfbench
+# package's own tests at --size tiny (builds perfbench into
+# $CARGO_TARGET_DIR or .bench_build). Two same-seed runs must repeat
+# every decision digest and the pinned seed-4 stall, so this is a cheap
+# end-to-end determinism check for kube DES and controller changes.
+if [[ "${PERFBENCH:-}" == "1" ]]; then
+  step "benchmark self-test: perfbench/test_perfbench.py"
+  python3 perfbench/test_perfbench.py
 fi
 
 if [[ "$FAST" == "1" ]]; then

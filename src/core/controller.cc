@@ -6,8 +6,6 @@
 
 namespace phoenix::core {
 
-using sim::PodRef;
-
 PhoenixController::PhoenixController(
     sim::EventQueue &events, kube::KubeCluster &cluster,
     std::unique_ptr<ResilienceScheme> scheme, ControllerConfig config)
@@ -45,13 +43,12 @@ PhoenixController::poll()
 
     // Mark recovery of the pending replan once every planned pod runs.
     if (!history_.empty() && history_.back().recoveredAt < 0.0) {
-        const auto running = cluster_.runningPods();
-        bool all_running = true;
-        for (const PodRef &ref : target_) {
-            if (!running.count(ref)) {
-                all_running = false;
-                break;
-            }
+        // The O(1) running count rules out most polls before any
+        // per-pod phase check (target_ holds distinct pods).
+        bool all_running = cluster_.runningCount() >= target_.size();
+        for (size_t i = 0; all_running && i < target_.size(); ++i) {
+            const kube::Pod *pod = cluster_.pod(target_[i]);
+            all_running = pod && pod->phase == kube::PodPhase::Running;
         }
         if (all_running) {
             ReplanRecord &rec = history_.back();
@@ -230,21 +227,16 @@ PhoenixController::execute(const SchemeResult &result)
             any_delete = true;
         }
     }
-    for (const auto &app : cluster_.apps()) {
-        for (const auto &ms : app.services) {
-            const int replicas = std::max(ms.replicas, 1);
-            for (int r = 0; r < replicas; ++r) {
-                const PodRef ref{app.id, ms.id,
-                                 static_cast<uint32_t>(r)};
-                if (!std::binary_search(target_.begin(), target_.end(),
-                                        ref)) {
-                    const auto *pod = cluster_.pod(ref);
-                    if (pod && !pod->scaledDown) {
-                        cluster_.deletePod(ref);
-                        any_delete = true;
-                    }
-                }
-            }
+    // Both the pod table and target_ ascend by PodRef: one merge walk.
+    auto planned = target_.begin();
+    for (const kube::Pod &pod : cluster_.pods()) {
+        while (planned != target_.end() && *planned < pod.ref)
+            ++planned;
+        if (planned != target_.end() && *planned == pod.ref)
+            continue;
+        if (!pod.scaledDown) {
+            cluster_.deletePod(pod.ref);
+            any_delete = true;
         }
     }
 

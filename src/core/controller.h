@@ -163,7 +163,8 @@ class PhoenixController
     /** Observed ready-set fingerprint at the previous poll. */
     uint64_t lastFingerprint_ = 0;
     /** Planned target pods, sorted (rebuilt per replan from the sorted
-     * assignment map, so no per-pod tree inserts). */
+     * assignment map, so no per-pod tree inserts; merge-walked against
+     * the cluster's PodRef-ordered pod table). */
     std::vector<sim::PodRef> target_;
     std::vector<ReplanRecord> history_;
     /** Migrations/restarts deferred until the current plan's deletes

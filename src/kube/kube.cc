@@ -93,6 +93,9 @@ KubeCluster::addNode(double capacity, uint32_t zone)
     nodes_.push_back(rec);
     nodeUsed_.push_back(0.0);
     nodeEvictionEpisodes_.push_back(0);
+    nodePods_.emplace_back();
+    freeSlot_.push_back(freeIndex_.end());
+    refreshFree(id);
     markDirty(id);
     scheduleHeartbeat(id);
     return id;
@@ -106,16 +109,62 @@ KubeCluster::addApplication(const sim::Application &app)
     apps_.back().id = app_id;
     if (apps_.back().topologyConstrained())
         anyConstrained_ = true;
+    std::vector<Pod> fresh;
     for (const auto &ms : apps_.back().services) {
         const int replicas = std::max(ms.replicas, 1);
         for (int r = 0; r < replicas; ++r) {
             Pod pod;
             pod.ref = PodRef{app_id, ms.id, static_cast<uint32_t>(r)};
             pod.cpu = ms.cpu;
-            pods_[pod.ref] = pod;
-            podEpoch_[pod.ref] = 0;
+            fresh.push_back(pod);
         }
     }
+    // PodRef order, and a service id declared twice keeps one pod per
+    // replica, the later declaration winning (keyed-insert semantics).
+    std::stable_sort(fresh.begin(), fresh.end(),
+                     [](const Pod &a, const Pod &b) { return a.ref < b.ref; });
+    // App ids only grow, so the run appends to the table in order.
+    AppSlice slice;
+    slice.first = static_cast<PodIndex>(pods_.size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+        if (i + 1 < fresh.size() && fresh[i + 1].ref == fresh[i].ref)
+            continue;
+        const PodIndex index = static_cast<PodIndex>(pods_.size());
+        if (slice.services.empty() ||
+            slice.services.back().ms != fresh[i].ref.ms)
+            slice.services.push_back(ServiceSlice{fresh[i].ref.ms, index, 0});
+        ++slice.services.back().count;
+        pods_.push_back(fresh[i]);
+        podEpoch_.push_back(0);
+        podNodePos_.push_back(kNoSlot);
+        pending_.insert(pending_.end(), index);
+    }
+    slice.count = static_cast<uint32_t>(pods_.size() - slice.first);
+    appSlices_.push_back(std::move(slice));
+}
+
+KubeCluster::PodIndex
+KubeCluster::indexOf(const PodRef &ref) const
+{
+    if (ref.app >= appSlices_.size())
+        return kNoSlot;
+    const std::vector<ServiceSlice> &services =
+        appSlices_[ref.app].services;
+    // Dense service ids (the usual case) index directly; sparse ones
+    // binary-search the id-sorted slices.
+    const ServiceSlice *slice = nullptr;
+    if (ref.ms < services.size() && services[ref.ms].ms == ref.ms) {
+        slice = &services[ref.ms];
+    } else {
+        const auto it = std::lower_bound(
+            services.begin(), services.end(), ref.ms,
+            [](const ServiceSlice &s, sim::MsId ms) { return s.ms < ms; });
+        if (it != services.end() && it->ms == ref.ms)
+            slice = &*it;
+    }
+    if (!slice || ref.replica >= slice->count)
+        return kNoSlot;
+    return slice->first + ref.replica;
 }
 
 void
@@ -184,6 +233,7 @@ KubeCluster::degradeNode(NodeId node, double factor)
     if (rec.degradeFactor == factor)
         return;
     rec.degradeFactor = factor;
+    refreshFree(node);
     markDirty(node);
 }
 
@@ -238,6 +288,7 @@ KubeCluster::nodeControllerTick()
             events_.now() - rec.lastHeartbeat <= config_.nodeGracePeriod;
         if (rec.ready && !fresh) {
             rec.ready = false;
+            refreshFree(rec.id);
             markDirty(rec.id);
             PHOENIX_INFO("node " << rec.id << " NotReady at t="
                                  << events_.now());
@@ -248,6 +299,7 @@ KubeCluster::nodeControllerTick()
             evictPodsOn(rec.id);
         } else if (!rec.ready && fresh && rec.kubeletRunning) {
             rec.ready = true;
+            refreshFree(rec.id);
             markDirty(rec.id);
             PHOENIX_INFO("node " << rec.id << " Ready at t="
                                  << events_.now());
@@ -292,28 +344,98 @@ KubeCluster::legalTransition(PodPhase from, PodPhase to)
 }
 
 void
-KubeCluster::transition(Pod &pod, PodPhase to, NodeId node)
+KubeCluster::transition(PodIndex index, PodPhase to, NodeId node)
 {
+    Pod &pod = pods_[index];
     if (!legalTransition(pod.phase, to)) {
         recordViolation(std::string("illegal pod transition ") +
                         phaseName(pod.phase) + " -> " + phaseName(to));
     }
-    if (occupiesNode(pod.phase)) {
-        nodeUsed_[pod.node] -= pod.cpu;
-        markDirty(pod.node);
+    const bool was_on = occupiesNode(pod.phase);
+    const bool is_on = occupiesNode(to);
+    const NodeId from = pod.node;
+    if (was_on) {
+        nodeUsed_[from] -= pod.cpu;
+        markDirty(from);
     }
+    if (pod.phase == PodPhase::Running)
+        --runningCount_;
     pod.phase = to;
     pod.node = node;
-    if (occupiesNode(to)) {
+    if (is_on) {
         nodeUsed_[node] += pod.cpu;
         markDirty(node);
     }
+    if (to == PodPhase::Running)
+        ++runningCount_;
+
+    const bool moved = was_on != is_on || from != node;
+    if (was_on && moved) {
+        // Swap-remove from the old node's list.
+        std::vector<PodIndex> &list = nodePods_[from];
+        const uint32_t pos = podNodePos_[index];
+        list[pos] = list.back();
+        podNodePos_[list[pos]] = pos;
+        list.pop_back();
+        podNodePos_[index] = kNoSlot;
+    }
+    if (is_on && moved) {
+        podNodePos_[index] = static_cast<uint32_t>(nodePods_[node].size());
+        nodePods_[node].push_back(index);
+    }
+    // Re-key even when the pod stays put: -= then += need not restore
+    // the usage bit for bit.
+    if (was_on)
+        refreshFree(from);
+    if (is_on && (!was_on || node != from))
+        refreshFree(node);
+    refreshPending(index);
+
     PHOENIX_COUNT(*obs_.transitions[static_cast<size_t>(to)], 1);
     PHOENIX_TRACE_INSTANT(
         "kube", transitionEventName(to), events_.now(),
         (obs::TraceArg{"app", static_cast<double>(pod.ref.app)}),
         (obs::TraceArg{"ms", static_cast<double>(pod.ref.ms)}),
         (obs::TraceArg{"node", static_cast<double>(node)}));
+}
+
+void
+KubeCluster::setScaledDown(PodIndex index, bool scaledDown)
+{
+    pods_[index].scaledDown = scaledDown;
+    refreshPending(index);
+}
+
+void
+KubeCluster::refreshPending(PodIndex index)
+{
+    const Pod &pod = pods_[index];
+    if (pod.phase == PodPhase::Pending && !pod.scaledDown)
+        pending_.insert(index);
+    else
+        pending_.erase(index);
+}
+
+void
+KubeCluster::refreshFree(NodeId node)
+{
+    FreeIndex::iterator &slot = freeSlot_[node];
+    const bool ready = nodes_[node].ready;
+    if (slot != freeIndex_.end()) {
+        if (ready && slot->free == freeKey(node))
+            return; // key unchanged: nothing to move
+        freeIndex_.erase(slot);
+        slot = freeIndex_.end();
+    }
+    if (ready)
+        slot = freeIndex_.insert(FreeEntry{freeKey(node), node}).first;
+}
+
+double
+KubeCluster::freeKey(NodeId node) const
+{
+    const NodeRec &rec = nodes_[node];
+    return rec.capacity * rec.degradeFactor - usedOn(node);
 }
 
 double
@@ -353,10 +475,12 @@ KubeCluster::hasPlacementVacancy(const Pod &pod, NodeId node) const
     int ms_in_zone = 0;
     int group_on_node = 0;
     int group_in_zone = 0;
-    for (const auto &[ref, other] : pods_) {
-        if (ref.app != pod.ref.app || ref == pod.ref)
-            continue;
-        if (!occupiesNode(other.phase))
+    // Only the app's own contiguous run of the table can count.
+    const AppSlice &slice = appSlices_[pod.ref.app];
+    for (PodIndex i = slice.first; i < slice.first + slice.count; ++i) {
+        const Pod &other = pods_[i];
+        const PodRef &ref = other.ref;
+        if (ref == pod.ref || !occupiesNode(other.phase))
             continue;
         const bool same_node = other.node == node;
         const bool same_zone = nodes_[other.node].zone == zone;
@@ -384,18 +508,6 @@ KubeCluster::hasPlacementVacancy(const Pod &pod, NodeId node) const
     return true;
 }
 
-double
-KubeCluster::scanUsedOn(NodeId node) const
-{
-    double used = 0.0;
-    for (const auto &[ref, pod] : pods_) {
-        (void)ref;
-        if (pod.node == node && occupiesNode(pod.phase))
-            used += pod.cpu;
-    }
-    return used;
-}
-
 void
 KubeCluster::recordViolation(const std::string &what)
 {
@@ -411,18 +523,60 @@ KubeCluster::validateAfterEvent()
 {
     if (!config_.validateInvariants)
         return;
+    const auto podName = [this](PodIndex i) {
+        const PodRef &ref = pods_[i].ref;
+        return "pod " + std::to_string(ref.app) + "/" +
+               std::to_string(ref.ms) + "/" + std::to_string(ref.replica);
+    };
+    // One pass over the table rescans everything transition()
+    // maintains incrementally: per-node usage and occupants, the
+    // pending set (walked alongside, both ascend) and the running
+    // count.
     validateScratch_.assign(nodes_.size(), 0.0);
-    for (const auto &[ref, pod] : pods_) {
-        if (!occupiesNode(pod.phase))
+    validateCounts_.assign(nodes_.size(), 0);
+    size_t running = 0;
+    auto pending = pending_.begin();
+    for (PodIndex i = 0; i < pods_.size(); ++i) {
+        const Pod &pod = pods_[i];
+        const bool want_pending =
+            pod.phase == PodPhase::Pending && !pod.scaledDown;
+        const bool in_pending = pending != pending_.end() && *pending == i;
+        if (in_pending)
+            ++pending;
+        if (want_pending != in_pending) {
+            recordViolation(podName(i) +
+                            (in_pending ? " in the pending set"
+                                        : " missing from the pending set"));
+        }
+        if (pod.phase == PodPhase::Running)
+            ++running;
+        if (!occupiesNode(pod.phase)) {
+            if (podNodePos_[i] != kNoSlot)
+                recordViolation(podName(i) +
+                                " listed on a node it does not occupy");
             continue;
+        }
         if (pod.node >= nodes_.size()) {
-            recordViolation("pod " + std::to_string(ref.app) + "/" +
-                            std::to_string(ref.ms) +
-                            " placed on nonexistent node");
+            recordViolation(podName(i) + " placed on nonexistent node");
             continue;
         }
         validateScratch_[pod.node] += pod.cpu;
+        ++validateCounts_[pod.node];
+        const std::vector<PodIndex> &list = nodePods_[pod.node];
+        const uint32_t pos = podNodePos_[i];
+        if (pos >= list.size() || list[pos] != i) {
+            recordViolation(podName(i) + " missing from node " +
+                            std::to_string(pod.node) + "'s pod list");
+        }
     }
+    if (pending != pending_.end())
+        recordViolation("pending set holds a pod outside the table");
+    if (running != runningCount_) {
+        recordViolation("running count " + std::to_string(runningCount_) +
+                        " != scanned " + std::to_string(running));
+    }
+
+    size_t ready = 0;
     for (size_t n = 0; n < nodes_.size(); ++n) {
         const double scan = validateScratch_[n];
         if (std::abs(scan - nodeUsed_[n]) > kUsageEps) {
@@ -437,30 +591,71 @@ KubeCluster::validateAfterEvent()
                             std::to_string(scan) + " > capacity " +
                             std::to_string(nodes_[n].capacity));
         }
+        if (nodePods_[n].size() != validateCounts_[n]) {
+            recordViolation("node " + std::to_string(n) + " pod list holds " +
+                            std::to_string(nodePods_[n].size()) +
+                            " pods, scanned " +
+                            std::to_string(validateCounts_[n]));
+        }
+        const bool indexed = freeSlot_[n] != freeIndex_.end();
+        if (indexed != nodes_[n].ready ||
+            (indexed && freeSlot_[n]->node != n)) {
+            recordViolation("node " + std::to_string(n) +
+                            " free-index slot disagrees with readiness");
+        }
+        ready += nodes_[n].ready ? 1 : 0;
+    }
+
+    // Free-capacity index: exactly the Ready nodes, each keyed by its
+    // current free capacity, in (free desc, id asc) order.
+    if (freeIndex_.size() != ready) {
+        recordViolation("free-capacity index holds " +
+                        std::to_string(freeIndex_.size()) +
+                        " nodes, " + std::to_string(ready) + " are Ready");
+    }
+    validateSeen_.assign(nodes_.size(), 0);
+    const FreeEntry *prev = nullptr;
+    for (const FreeEntry &entry : freeIndex_) {
+        const auto name = [&entry] {
+            return "node " + std::to_string(entry.node);
+        };
+        if (entry.node >= nodes_.size() || !nodes_[entry.node].ready ||
+            validateSeen_[entry.node]) {
+            recordViolation(name() + " in the free-capacity index is "
+                                     "missing, NotReady or duplicated");
+            continue;
+        }
+        validateSeen_[entry.node] = 1;
+        if (entry.free != freeKey(entry.node)) {
+            recordViolation(name() + " free-capacity key " +
+                            std::to_string(entry.free) + " is stale");
+        }
+        if (prev && !MostFreeFirst()(*prev, entry))
+            recordViolation(name() +
+                            " out of order in the free-capacity index");
+        prev = &entry;
     }
 }
 
 void
-KubeCluster::bindPod(Pod &pod, NodeId node)
+KubeCluster::bindPod(PodIndex index, NodeId node)
 {
     PHOENIX_COUNT(*obs_.binds, 1);
-    transition(pod, PodPhase::Starting, node);
+    transition(index, PodPhase::Starting, node);
     // Bumping the epoch cancels any armed start-completion timer, so a
     // rebind (migrate-while-Starting) restarts the startup clock.
-    const uint64_t epoch = ++podEpoch_[pod.ref];
+    const uint64_t epoch = ++podEpoch_[index];
     // Draw first, then scale: a degraded (slow) node stretches the
     // startup delay by 1/factor without perturbing the rng sequence.
     double delay =
         rng_.uniform(config_.podStartupMin, config_.podStartupMax);
     if (nodes_[node].degradeFactor < 1.0)
         delay /= nodes_[node].degradeFactor;
-    const PodRef ref = pod.ref;
-    events_.scheduleAfter(delay, [this, ref, epoch] {
-        auto it = pods_.find(ref);
-        if (it == pods_.end() || podEpoch_[ref] != epoch)
+    events_.scheduleAfter(delay, [this, index, epoch] {
+        if (podEpoch_[index] != epoch)
             return;
-        if (it->second.phase == PodPhase::Starting) {
-            transition(it->second, PodPhase::Running, it->second.node);
+        if (pods_[index].phase == PodPhase::Starting) {
+            transition(index, PodPhase::Running, pods_[index].node);
             validateAfterEvent();
         }
     });
@@ -471,16 +666,17 @@ KubeCluster::evictPodsOn(NodeId node)
 {
     ++nodeEvictionEpisodes_[node];
     PHOENIX_COUNT(*obs_.evictionEpisodes, 1);
-    for (auto &[ref, pod] : pods_) {
-        if (pod.node != node || pod.phase == PodPhase::Pending)
-            continue;
+    // The node's own occupants, in PodRef order (table order).
+    evictScratch_ = nodePods_[node];
+    std::sort(evictScratch_.begin(), evictScratch_.end());
+    for (const PodIndex index : evictScratch_) {
         // Documented semantics: Terminating pods keep their graceful
         // drain (the drain timer lands them in Pending; a scaled-down
         // pod parks there and never reschedules).
-        if (pod.phase == PodPhase::Terminating)
+        if (pods_[index].phase == PodPhase::Terminating)
             continue;
-        ++podEpoch_[ref];
-        transition(pod, PodPhase::Pending, pod.node);
+        ++podEpoch_[index];
+        transition(index, PodPhase::Pending, node);
         ++evictedPods_;
         PHOENIX_COUNT(*obs_.evictedPods, 1);
     }
@@ -492,14 +688,32 @@ KubeCluster::evictionEpisodes(NodeId node) const
     return nodeEvictionEpisodes_.at(node);
 }
 
+bool
+KubeCluster::pickSpreadNode(const Pod &pod, NodeId &out) const
+{
+    // Index order is the spread preference (most free, lowest id on
+    // ties), so the first entry that fits and has vacancy is the pick.
+    // Nothing at or below -1 qualifies, and a negative best never binds.
+    for (const FreeEntry &entry : freeIndex_) {
+        if (entry.free < pod.cpu - kCapacityEps || entry.free <= -1.0)
+            return false;
+        if (hasPlacementVacancy(pod, entry.node)) {
+            out = entry.node;
+            return entry.free >= 0.0;
+        }
+    }
+    return false;
+}
+
 void
 KubeCluster::schedulerTick()
 {
-    // Deterministic PodRef order, spread (least-allocated) scoring.
-    for (auto &[ref, pod] : pods_) {
-        (void)ref;
-        if (pod.phase != PodPhase::Pending || pod.scaledDown)
-            continue;
+    // Deterministic PodRef order over the pending set, spread
+    // (least-allocated) scoring. A bind only ever removes the pod it
+    // binds, so advancing before the bind keeps the iterator valid.
+    for (auto it = pending_.begin(); it != pending_.end();) {
+        const PodIndex index = *it++;
+        const Pod &pod = pods_[index];
 
         if (pod.pinnedNode) {
             const NodeId target = *pod.pinnedNode;
@@ -507,7 +721,7 @@ KubeCluster::schedulerTick()
                 usedOn(target) + pod.cpu <=
                     effectiveCapacity(target) + kCapacityEps &&
                 hasPlacementVacancy(pod, target)) {
-                bindPod(pod, target);
+                bindPod(index, target);
             }
             continue;
         }
@@ -516,20 +730,8 @@ KubeCluster::schedulerTick()
             continue;
 
         NodeId best = 0;
-        double best_free = -1.0;
-        for (const NodeRec &rec : nodes_) {
-            if (!rec.ready)
-                continue;
-            const double free =
-                rec.capacity * rec.degradeFactor - usedOn(rec.id);
-            if (free >= pod.cpu - kCapacityEps && free > best_free &&
-                hasPlacementVacancy(pod, rec.id)) {
-                best_free = free;
-                best = rec.id;
-            }
-        }
-        if (best_free >= 0.0)
-            bindPod(pod, best);
+        if (pickSpreadNode(pod, best))
+            bindPod(index, best);
     }
     validateAfterEvent();
     events_.scheduleAfter(config_.schedulerPeriod,
@@ -539,31 +741,25 @@ KubeCluster::schedulerTick()
 void
 KubeCluster::deletePod(const PodRef &ref)
 {
-    auto it = pods_.find(ref);
-    if (it == pods_.end())
+    const PodIndex index = indexOf(ref);
+    if (index == kNoSlot)
         return;
-    Pod &pod = it->second;
-    pod.scaledDown = true;
-    pod.pinnedNode.reset();
-    if (pod.phase == PodPhase::Pending ||
-        pod.phase == PodPhase::Terminating) {
+    pods_[index].pinnedNode.reset();
+    setScaledDown(index, true);
+    const PodPhase phase = pods_[index].phase;
+    if (phase == PodPhase::Pending || phase == PodPhase::Terminating)
         return;
-    }
     // Graceful drain: endpoints removed, SIGTERM, then gone.
-    transition(pod, PodPhase::Terminating, pod.node);
-    const uint64_t epoch = ++podEpoch_[ref];
+    transition(index, PodPhase::Terminating, pods_[index].node);
+    const uint64_t epoch = ++podEpoch_[index];
     events_.scheduleAfter(config_.podTerminationSeconds,
-                          [this, ref, epoch] {
-                              auto pit = pods_.find(ref);
-                              if (pit == pods_.end() ||
-                                  podEpoch_[ref] != epoch) {
+                          [this, index, epoch] {
+                              if (podEpoch_[index] != epoch)
                                   return;
-                              }
-                              if (pit->second.phase ==
+                              if (pods_[index].phase ==
                                   PodPhase::Terminating) {
-                                  transition(pit->second,
-                                             PodPhase::Pending,
-                                             pit->second.node);
+                                  transition(index, PodPhase::Pending,
+                                             pods_[index].node);
                                   validateAfterEvent();
                               }
                           });
@@ -574,12 +770,12 @@ void
 KubeCluster::startPod(const PodRef &ref,
                       std::optional<NodeId> pinned)
 {
-    auto it = pods_.find(ref);
-    if (it == pods_.end())
+    const PodIndex index = indexOf(ref);
+    if (index == kNoSlot)
         return;
-    Pod &pod = it->second;
-    pod.scaledDown = false;
+    Pod &pod = pods_[index];
     pod.pinnedNode = pinned;
+    setScaledDown(index, false);
 
     if (pod.phase == PodPhase::Running ||
         pod.phase == PodPhase::Starting) {
@@ -598,12 +794,12 @@ KubeCluster::startPod(const PodRef &ref,
 void
 KubeCluster::migratePod(const PodRef &ref, NodeId to)
 {
-    auto it = pods_.find(ref);
-    if (it == pods_.end() || to >= nodes_.size())
+    const PodIndex index = indexOf(ref);
+    if (index == kNoSlot || to >= nodes_.size())
         return;
-    Pod &pod = it->second;
-    pod.scaledDown = false;
+    Pod &pod = pods_[index];
     pod.pinnedNode = to;
+    setScaledDown(index, false);
     if (pod.phase == PodPhase::Pending) {
         return; // plain (re)start on the target
     }
@@ -635,7 +831,7 @@ KubeCluster::migratePod(const PodRef &ref, NodeId to)
         // startup clock on the target (bindPod bumps the epoch, which
         // cancels the old start-completion timer — no free cross-node
         // "migration").
-        bindPod(pod, to);
+        bindPod(index, to);
         validateAfterEvent();
         return;
     }
@@ -643,7 +839,7 @@ KubeCluster::migratePod(const PodRef &ref, NodeId to)
     // rebind in the model — capacity moves to the target now and the
     // service stays live (requests reroute to the new instance as it
     // starts; see Appendix E).
-    transition(pod, PodPhase::Running, to);
+    transition(index, PodPhase::Running, to);
     validateAfterEvent();
 }
 
@@ -736,9 +932,10 @@ KubeCluster::buildState() const
         if (!rec.ready)
             state.failNode(rec.id);
     }
-    for (const auto &[ref, pod] : pods_) {
+    // Table order is PodRef order, so every insert lands at the end.
+    for (const Pod &pod : pods_) {
         if (occupiesNode(pod.phase))
-            state.place(ref, pod.node, pod.cpu);
+            state.placeInOrder(pod.ref, pod.node, pod.cpu);
     }
     return state;
 }
@@ -861,32 +1058,18 @@ std::set<PodRef>
 KubeCluster::runningPods() const
 {
     std::set<PodRef> running;
-    for (const auto &[ref, pod] : pods_) {
+    for (const Pod &pod : pods_) {
         if (pod.phase == PodPhase::Running)
-            running.insert(ref);
+            running.emplace_hint(running.end(), pod.ref);
     }
     return running;
-}
-
-size_t
-KubeCluster::pendingCount() const
-{
-    size_t count = 0;
-    for (const auto &[ref, pod] : pods_) {
-        (void)ref;
-        if (pod.phase == PodPhase::Pending && !pod.scaledDown)
-            ++count;
-    }
-    return count;
 }
 
 const Pod *
 KubeCluster::pod(const PodRef &ref) const
 {
-    auto it = pods_.find(ref);
-    if (it == pods_.end())
-        return nullptr;
-    return &it->second;
+    const PodIndex index = indexOf(ref);
+    return index == kNoSlot ? nullptr : &pods_[index];
 }
 
 } // namespace phoenix::kube

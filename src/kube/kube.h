@@ -27,14 +27,19 @@
  *    controller-facing observation freezes while the cluster keeps
  *    evolving), and per-node heartbeat clock skew;
  *  - an invariant checker (capacity bounds, incremental-vs-scan usage
- *    equality, phase-transition legality) that scenario tests enable
- *    to turn lifecycle bugs into hard failures.
+ *    and index equality, phase-transition legality) that scenario
+ *    tests enable to turn lifecycle bugs into hard failures.
+ *
+ * Pods live in a dense table in PodRef order; transition() keeps a
+ * pending set, per-node pod lists, a free-capacity index over Ready
+ * nodes and a running count, so scheduler ticks, evictions and
+ * snapshots cost what they touch rather than a walk of every pod.
  */
 
 #ifndef PHOENIX_KUBE_KUBE_H
 #define PHOENIX_KUBE_KUBE_H
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <vector>
@@ -69,9 +74,10 @@ struct KubeConfig
     /**
      * Run the O(pods + nodes) invariant sweep after every event:
      * no node's Starting+Running+Terminating usage exceeds its
-     * capacity, and the incrementally maintained per-node usage
-     * matches a full rescan. Phase-transition legality is always
-     * checked (it is O(1)). Violations are counted (see
+     * capacity, and the incrementally maintained per-node usage,
+     * pending set, per-node pod lists, free-capacity index and
+     * running count match a full rescan. Phase-transition legality is
+     * always checked (it is O(1)). Violations are counted (see
      * invariantViolations()) and assert in debug builds. Defaults on
      * in debug builds; scenario tests enable it explicitly.
      */
@@ -109,6 +115,10 @@ class KubeCluster : public sim::FaultTarget
 {
   public:
     KubeCluster(sim::EventQueue &events, KubeConfig config = KubeConfig());
+    /** Armed events hold `this`, and the free-capacity index holds
+     * iterators into itself: never copied or moved. */
+    KubeCluster(const KubeCluster &) = delete;
+    KubeCluster &operator=(const KubeCluster &) = delete;
 
     /** Add a worker node; starts Ready with a live kubelet. The
      * optional zone is the node's failure-domain label (`zone` on the
@@ -319,10 +329,19 @@ class KubeCluster : public sim::FaultTarget
     /** Pods currently serving traffic (Running only). */
     std::set<sim::PodRef> runningPods() const;
 
-    /** Running/Starting/Pending counts (diagnostics). */
-    size_t pendingCount() const;
+    /** Number of Running pods; O(1). */
+    size_t runningCount() const { return runningCount_; }
 
+    /** Pending pods the scheduler still owes a bind (not scaled
+     * down); O(1). */
+    size_t pendingCount() const { return pending_.size(); }
+
+    /** The pod, or null when none has @p ref. Like pods(), valid until
+     * the next addApplication(). */
     const Pod *pod(const sim::PodRef &ref) const;
+
+    /** Every pod, ascending by PodRef (the dense pod table). */
+    const std::vector<Pod> &pods() const { return pods_; }
 
     sim::SimTime now() const { return events_.now(); }
 
@@ -366,6 +385,48 @@ class KubeCluster : public sim::FaultTarget
         double clockSkew = 0.0;
     };
 
+    /** Index of a pod in the dense table; stable for the cluster's
+     * lifetime (apps are only ever appended). */
+    using PodIndex = uint32_t;
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+    /** One service's contiguous replica run in the dense table. */
+    struct ServiceSlice
+    {
+        sim::MsId ms = 0;
+        PodIndex first = 0;
+        uint32_t count = 0;
+    };
+
+    /** One app's contiguous run in the dense table, its services
+     * ascending by id — so table order is PodRef order. */
+    struct AppSlice
+    {
+        PodIndex first = 0;
+        uint32_t count = 0;
+        std::vector<ServiceSlice> services;
+    };
+
+    /** Free-capacity index entry: a Ready node keyed by
+     * capacity * degradeFactor - usedOn. */
+    struct FreeEntry
+    {
+        double free = 0.0;
+        sim::NodeId node = 0;
+    };
+
+    /** Most free first, lowest id on ties: the spread pick order. */
+    struct MostFreeFirst
+    {
+        bool
+        operator()(const FreeEntry &a, const FreeEntry &b) const
+        {
+            if (a.free != b.free)
+                return a.free > b.free;
+            return a.node < b.node;
+        }
+    };
+
     void scheduleHeartbeat(sim::NodeId node);
     /** Build the planner snapshot from live state. */
     sim::ClusterState buildState() const;
@@ -374,13 +435,17 @@ class KubeCluster : public sim::FaultTarget
     void nodeControllerTick();
     void schedulerTick();
 
+    /** Table index of @p ref, or kNoSlot when no such pod exists. */
+    PodIndex indexOf(const sim::PodRef &ref) const;
+
     /** Used capacity on a node from Starting/Running/Terminating pods
      * (incrementally maintained; the invariant sweep checks it against
      * a full rescan). */
     double usedOn(sim::NodeId node) const;
 
-    /** The O(pods) rescan the incremental book is validated against. */
-    double scanUsedOn(sim::NodeId node) const;
+    /** A node's spread score and free-capacity key:
+     * capacity * degradeFactor - usedOn. */
+    double freeKey(sim::NodeId node) const;
 
     /** Whether a phase occupies node capacity. */
     static bool occupiesNode(PodPhase phase);
@@ -390,10 +455,18 @@ class KubeCluster : public sim::FaultTarget
      * validation: placing @p pod on @p node must keep every
      * anti-affinity / zone-spread cap of the pod's service (and its
      * group) satisfied, counting the occupying pods currently on the
-     * node and in its zone. O(pods) per query — kube clusters are
-     * testbed-sized.
+     * node and in its zone. O(pods of the app) per query.
      */
     bool hasPlacementVacancy(const Pod &pod, sim::NodeId node) const;
+
+    /**
+     * Spread (least-allocated) pick for an unpinned pod: the Ready node
+     * with the most free capacity that fits the pod and has placement
+     * vacancy, lowest id on ties. Walks the free-capacity index from
+     * the top and stops at the first node too small. Returns false
+     * when the pod stays Pending.
+     */
+    bool pickSpreadNode(const Pod &pod, sim::NodeId &out) const;
 
     /** Pod lifecycle transition table (same-phase node moves allowed
      * for Starting/Running migrations). */
@@ -401,13 +474,26 @@ class KubeCluster : public sim::FaultTarget
 
     /**
      * The single mutation point for (phase, node): checks transition
-     * legality and maintains the incremental per-node usage book.
+     * legality and maintains the incremental per-node usage book, the
+     * per-node pod lists, the pending set, the free-capacity index and
+     * the running count.
      */
-    void transition(Pod &pod, PodPhase to, sim::NodeId node);
+    void transition(PodIndex index, PodPhase to, sim::NodeId node);
+
+    /** Set a pod's scaled-down flag, keeping the pending set exact. */
+    void setScaledDown(PodIndex index, bool scaledDown);
+
+    /** Re-derive one pod's pending-set membership. */
+    void refreshPending(PodIndex index);
+
+    /** Re-key one node in the free-capacity index (dropping it when
+     * NotReady). Called whenever its usage, readiness or degrade
+     * factor changes. */
+    void refreshFree(sim::NodeId node);
 
     /** Begin starting a pod on a node (capacity is consumed now; any
      * armed start-completion timer is invalidated via the epoch). */
-    void bindPod(Pod &pod, sim::NodeId node);
+    void bindPod(PodIndex index, sim::NodeId node);
 
     /**
      * Evict (node failure): Starting/Running pods return to Pending
@@ -435,9 +521,27 @@ class KubeCluster : public sim::FaultTarget
      * the scheduler's vacancy checks entirely off the hot path. */
     bool anyConstrained_ = false;
     std::vector<sim::Application> apps_;
-    std::map<sim::PodRef, Pod> pods_;
-    /** Monotone counter to invalidate stale start-completion events. */
-    std::map<sim::PodRef, uint64_t> podEpoch_;
+    /** Where each app's pods live in the dense table, by app id. */
+    std::vector<AppSlice> appSlices_;
+    /**
+     * The dense pod table, ascending by PodRef. Parallel columns:
+     * podEpoch_ (monotone counter invalidating stale start/drain
+     * completion events) and podNodePos_ (the pod's slot in its
+     * node's nodePods_ list; kNoSlot when it occupies no node).
+     */
+    std::vector<Pod> pods_;
+    std::vector<uint64_t> podEpoch_;
+    std::vector<uint32_t> podNodePos_;
+    /** Pending, not-scaled-down pods in PodRef order. */
+    std::set<PodIndex> pending_;
+    /** Per node: the pods occupying it (unordered). */
+    std::vector<std::vector<PodIndex>> nodePods_;
+    /** Ready nodes by (free desc, id asc). */
+    using FreeIndex = std::set<FreeEntry, MostFreeFirst>;
+    FreeIndex freeIndex_;
+    /** Each node's entry in freeIndex_; end() while NotReady. */
+    std::vector<FreeIndex::iterator> freeSlot_;
+    size_t runningCount_ = 0;
     /** Incremental Starting+Running+Terminating usage per node. */
     std::vector<double> nodeUsed_;
     std::vector<size_t> nodeEvictionEpisodes_;
@@ -450,8 +554,12 @@ class KubeCluster : public sim::FaultTarget
     sim::ClusterState frozenState_;
     double frozenReadyCapacity_ = 0.0;
     uint64_t frozenFingerprint_ = 0;
-    /** Scratch for the validation sweep (avoids per-event allocs). */
+    /** Scratch for the validation sweep and evictions (avoids
+     * per-event allocs). */
     std::vector<double> validateScratch_;
+    std::vector<size_t> validateCounts_;
+    std::vector<char> validateSeen_;
+    std::vector<PodIndex> evictScratch_;
 
     /** obs handles, resolved once at construction (per-phase pod
      * transition counters + lifecycle/scheduler/node counters). */

@@ -1,6 +1,8 @@
 #include "daemon.h"
 
+#include <cmath>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -121,12 +123,25 @@ ServeDaemon::cmdLoadTestbed(const util::JsonValue &command)
 std::string
 ServeDaemon::cmdAddNodes(const util::JsonValue &command)
 {
-    const auto count =
-        static_cast<size_t>(command.numberAt("count", 1.0));
-    const double capacity = command.numberAt("capacity", 8.0);
-    if (count == 0 || capacity <= 0.0)
-        return errorReply("add-nodes needs count >= 1, capacity > 0");
-    for (size_t n = 0; n < count; ++n)
+    // Present-but-not-a-number falls back to NaN, which every range
+    // check below rejects (negated comparisons, so NaN fails them).
+    const auto numberOr = [&command](const char *name, double fallback) {
+        const util::JsonValue *field = command.field(name);
+        if (!field)
+            return fallback;
+        return field->isNumber() ? field->number
+                                 : std::numeric_limits<double>::quiet_NaN();
+    };
+    const double count = numberOr("count", 1.0);
+    const double capacity = numberOr("capacity", 8.0);
+    if (!(count >= 1.0 && count <= kMaxAddNodes) ||
+        count != std::floor(count)) {
+        return errorReply("add-nodes needs an integral count in [1, " +
+                          util::jsonNumber(kMaxAddNodes) + "]");
+    }
+    if (!(capacity > 0.0) || !std::isfinite(capacity))
+        return errorReply("add-nodes needs a finite capacity > 0");
+    for (size_t n = 0; n < static_cast<size_t>(count); ++n)
         cluster_.addNode(capacity);
     std::ostringstream out;
     out << "{\"ok\":true,\"nodes\":" << cluster_.nodeCount() << "}";
@@ -401,8 +416,10 @@ std::string
 ServeDaemon::cmdAdvance(const util::JsonValue &command)
 {
     const double seconds = command.numberAt("seconds", 0.0);
-    if (seconds <= 0.0)
-        return errorReply("advance needs seconds > 0");
+    if (!(seconds > 0.0 && seconds <= kMaxAdvanceSeconds)) {
+        return errorReply("advance needs 0 < seconds <= " +
+                          util::jsonNumber(kMaxAdvanceSeconds));
+    }
     events_.runUntil(events_.now() + seconds);
     std::ostringstream out;
     out << "{\"ok\":true,\"t\":" << util::jsonNumber(events_.now())

@@ -28,6 +28,11 @@
  * apps get a synthesized request model (one request class per
  * service) so serve-start works on them too.
  *
+ * One request's work is bounded: add-nodes takes an integral count in
+ * [1, kMaxAddNodes] and advance a finite horizon in
+ * (0, kMaxAdvanceSeconds]; anything else is an error reply, never a
+ * hang. Longer runs issue several advances.
+ *
  * Every reply is a single line: {"ok":true,...} or
  * {"ok":false,"error":"..."}. handleLine() is the testable core; the
  * stdin/stdout REPL in tools/phoenixd.cc is a thin wrapper.
@@ -63,6 +68,12 @@ struct DaemonConfig
 class ServeDaemon
 {
   public:
+    /** Most nodes one add-nodes request may add. */
+    static constexpr double kMaxAddNodes = 10000.0;
+    /** Longest sim horizon one advance request may cover (one sim
+     * day). */
+    static constexpr double kMaxAdvanceSeconds = 86400.0;
+
     explicit ServeDaemon(DaemonConfig config = {});
 
     /** Handle one command line; returns the reply line (no '\n'). */

@@ -60,19 +60,35 @@ ClusterState::setNodeCapacity(NodeId id, double capacity)
 }
 
 bool
-ClusterState::place(const PodRef &pod, NodeId node, double cpu)
+ClusterState::fits(NodeId node, double cpu) const
 {
     if (node >= nodes_.size())
         return false;
     const Node &n = nodes_[node];
-    if (!n.healthy)
-        return false;
-    if (assignment_.count(pod))
-        return false;
-    if (used_[node] + cpu > n.capacity + kCapacityEps)
+    return n.healthy && !(used_[node] + cpu > n.capacity + kCapacityEps);
+}
+
+bool
+ClusterState::place(const PodRef &pod, NodeId node, double cpu)
+{
+    if (!fits(node, cpu) || assignment_.count(pod))
         return false;
     assignment_[pod] = node;
     podsOn_[node][pod] = cpu;
+    used_[node] += cpu;
+    return true;
+}
+
+bool
+ClusterState::placeInOrder(const PodRef &pod, NodeId node, double cpu)
+{
+    if (!assignment_.empty() && !(assignment_.rbegin()->first < pod))
+        return place(pod, node, cpu);
+    if (!fits(node, cpu))
+        return false;
+    // Ascending globally means ascending on every node too.
+    assignment_.emplace_hint(assignment_.end(), pod, node);
+    podsOn_[node].emplace_hint(podsOn_[node].end(), pod, cpu);
     used_[node] += cpu;
     return true;
 }

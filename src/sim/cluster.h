@@ -72,6 +72,15 @@ class ClusterState
      */
     bool place(const PodRef &pod, NodeId node, double cpu);
 
+    /**
+     * place() for a pod ordered after every pod already placed: the
+     * same checks and the same usage accumulation, but the index
+     * inserts land at the end in O(1) amortized. Snapshot builders
+     * that walk pods in PodRef order use it; an out-of-order pod
+     * falls back to place().
+     */
+    bool placeInOrder(const PodRef &pod, NodeId node, double cpu);
+
     /** Remove a pod; returns false when it was not placed. */
     bool evict(const PodRef &pod);
 
@@ -116,6 +125,9 @@ class ClusterState
     double utilization() const;
 
   private:
+    /** Node exists, is healthy and has room for @p cpu. */
+    bool fits(NodeId node, double cpu) const;
+
     std::vector<Node> nodes_;
     std::vector<double> used_;
     std::vector<std::map<PodRef, double>> podsOn_;

@@ -2,12 +2,19 @@
  * @file
  * Tests for the mini-Kubernetes substrate: pod lifecycle, default
  * scheduler behaviour, kubelet-failure detection via missed heartbeats,
- * and the agent verbs (delete / migrate / restart).
+ * the agent verbs (delete / migrate / restart), and the dense pod
+ * table's indexes (pending set, per-node lists, free-capacity order).
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "kube/kube.h"
+#include "obs/obs.h"
+#include "util/json.h"
+#include "util/rng.h"
 
 using namespace phoenix;
 using namespace phoenix::kube;
@@ -511,4 +518,213 @@ TEST(Kube, PositiveSkewMasksAKubeletDeath)
     EXPECT_TRUE(cluster.isReady(node)); // masked
     events.runUntil(420.0);
     EXPECT_FALSE(cluster.isReady(node)); // finally past 310 + grace
+}
+
+// ---- Dense pod table + indexes kept by transition() ----
+
+namespace {
+
+/** A service with a placement policy, for the randomized driver. */
+sim::Application
+constrainedApp(size_t services, int replicas, double cpu, int variant)
+{
+    sim::Application app = simpleApp(services, cpu);
+    app.placementGroups.push_back(sim::PlacementGroup{0, 3, 0});
+    for (auto &ms : app.services) {
+        ms.replicas = replicas;
+        switch ((ms.id + static_cast<sim::MsId>(variant)) % 4) {
+        case 0: ms.maxPerNode = 1; break;
+        case 1: ms.minZoneSpread = 2; break;
+        case 2: ms.antiAffinityGroup = 0; break;
+        default: ms.maxPerZone = 2; break;
+        }
+    }
+    return app;
+}
+
+/** pendingCount / runningCount against a scan of the pod table. */
+void
+expectCountsMatchScan(const KubeCluster &cluster)
+{
+    size_t pending = 0;
+    size_t running = 0;
+    const sim::PodRef *prev = nullptr;
+    for (const Pod &pod : cluster.pods()) {
+        if (prev) {
+            ASSERT_LT(*prev, pod.ref); // table order is PodRef order
+        }
+        prev = &pod.ref;
+        pending += pod.phase == PodPhase::Pending && !pod.scaledDown;
+        running += pod.phase == PodPhase::Running;
+        ASSERT_EQ(cluster.pod(pod.ref), &pod);
+    }
+    EXPECT_EQ(cluster.pendingCount(), pending);
+    EXPECT_EQ(cluster.runningCount(), running);
+    EXPECT_EQ(cluster.runningPods().size(), running);
+}
+
+/** Enables tracing for one test and restores the disabled default. */
+struct TraceScope
+{
+    TraceScope()
+    {
+        obs::Tracer::global().clear();
+        obs::setTraceEnabled(true);
+    }
+    ~TraceScope()
+    {
+        obs::setTraceEnabled(false);
+        obs::Tracer::global().clear();
+    }
+};
+
+} // namespace
+
+TEST(KubeIndexes, RandomizedOpsKeepEveryIndexExact)
+{
+    // Every op class that moves a pod or changes a node's free
+    // capacity, interleaved with the control loops; the invariant
+    // sweep rebuilds the pending set, per-node lists, free-capacity
+    // index and running count from a full rescan after every event.
+    sim::EventQueue events;
+    KubeConfig config = checkedConfig();
+    config.nodeGracePeriod = 30.0;
+    config.podTerminationSeconds = 6.0;
+    KubeCluster cluster(events, config);
+    util::Rng rng(20261017);
+    for (int n = 0; n < 200; ++n)
+        cluster.addNode(n % 3 == 0 ? 4.0 : 8.0, static_cast<uint32_t>(n % 4));
+    cluster.addApplication(simpleApp(40, 1.5));
+    for (int a = 0; a < 6; ++a)
+        cluster.addApplication(constrainedApp(10, 4, 1.0, a));
+
+    const auto randomNode = [&] {
+        return static_cast<sim::NodeId>(rng.uniformInt(
+            0, static_cast<int64_t>(cluster.nodeCount()) - 1));
+    };
+    const auto randomPod = [&] {
+        const auto &pods = cluster.pods();
+        return pods[static_cast<size_t>(rng.uniformInt(
+                        0, static_cast<int64_t>(pods.size()) - 1))]
+            .ref;
+    };
+    for (int step = 0; step < 1500; ++step) {
+        switch (rng.uniformInt(0, 11)) {
+        case 0: cluster.stopKubelet(randomNode()); break;
+        case 1: cluster.startKubelet(randomNode()); break;
+        case 2: cluster.partitionNode(randomNode()); break;
+        case 3: cluster.healPartition(randomNode()); break;
+        case 4:
+            cluster.degradeNode(randomNode(),
+                                rng.bernoulli(0.5) ? 1.0 : 0.25);
+            break;
+        case 5: cluster.deletePod(randomPod()); break;
+        case 6: cluster.startPod(randomPod(), randomNode()); break;
+        case 7: cluster.startPod(randomPod()); break;
+        case 8: cluster.migratePod(randomPod(), randomNode()); break;
+        case 9:
+            if (step % 200 == 9)
+                cluster.addNode(16.0, static_cast<uint32_t>(step % 4));
+            break;
+        case 10:
+            if (step % 500 == 10)
+                cluster.addApplication(constrainedApp(6, 3, 0.5, step));
+            break;
+        default: break;
+        }
+        events.runUntil(events.now() + rng.uniform(0.0, 6.0));
+        ASSERT_EQ(cluster.invariantViolations(), 0u) << "step " << step;
+        if (step % 100 == 0)
+            expectCountsMatchScan(cluster);
+    }
+    // Heal everything and let the cluster settle: the indexes must
+    // still agree once the churn stops.
+    for (sim::NodeId n = 0; n < cluster.nodeCount(); ++n) {
+        cluster.startKubelet(n);
+        cluster.healPartition(n);
+        cluster.degradeNode(n, 1.0);
+    }
+    events.runUntil(events.now() + 300.0);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+    EXPECT_GT(cluster.evictedPodCount(), 0u);
+    EXPECT_GT(cluster.runningCount(), 0u);
+    expectCountsMatchScan(cluster);
+}
+
+TEST(KubeIndexes, SpreadPickIsLowestIdAmongMostFree)
+{
+    sim::EventQueue events;
+    KubeCluster cluster(events, checkedConfig());
+    const auto n0 = cluster.addNode(8.0);
+    const auto n1 = cluster.addNode(8.0);
+    const auto n2 = cluster.addNode(8.0);
+    const auto n3 = cluster.addNode(16.0);
+    const auto n4 = cluster.addNode(64.0);
+    const auto n5 = cluster.addNode(32.0);
+    cluster.degradeNode(n0, 0.5);   // 4 free
+    cluster.degradeNode(n3, 0.5);   // 8 free: ties n1 and n2
+    cluster.degradeNode(n4, 0.125); // 8 free despite the largest nameplate
+    cluster.stopKubelet(n5);        // most free, but about to go NotReady
+    events.runUntil(120.0);
+    ASSERT_FALSE(cluster.isReady(n5));
+
+    // All pods bind in one tick, in PodRef order; each takes the most
+    // free Ready node left, the lowest id among equals.
+    cluster.addApplication(simpleApp(6, 1.0));
+    events.runUntil(125.0); // the next scheduler tick
+    const sim::NodeId expected[] = {n1, n2, n3, n4, n1, n2};
+    for (sim::MsId m = 0; m < 6; ++m) {
+        const Pod *pod = cluster.pod(PodRef{0, m});
+        ASSERT_NE(pod, nullptr);
+        EXPECT_EQ(pod->phase, PodPhase::Starting) << "ms " << m;
+        EXPECT_EQ(pod->node, expected[m]) << "ms " << m;
+    }
+    EXPECT_EQ(cluster.pendingCount(), 0u);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
+}
+
+TEST(KubeIndexes, EvictionFollowsPodRefOrder)
+{
+    sim::EventQueue events;
+    KubeConfig config = checkedConfig();
+    config.nodeGracePeriod = 50.0;
+    KubeCluster cluster(events, config);
+    const auto n0 = cluster.addNode(16.0);
+    const auto n1 = cluster.addNode(16.0);
+    cluster.degradeNode(n1, sim::kMinDegradeFactor); // everything on n0
+    cluster.addApplication(simpleApp(5, 1.0));
+    events.runUntil(100.0);
+    cluster.degradeNode(n1, 1.0);
+    // Move the pods to n1 in reverse PodRef order, so the node's own
+    // pod list is not in PodRef order.
+    for (sim::MsId m = 5; m-- > 0;)
+        cluster.migratePod(PodRef{0, m}, n1);
+    for (sim::MsId m = 0; m < 5; ++m)
+        ASSERT_EQ(cluster.pod(PodRef{0, m})->node, n1);
+    (void)n0;
+
+    TraceScope trace;
+    cluster.stopKubelet(n1);
+    events.runUntil(events.now() + 70.0);
+    ASSERT_EQ(cluster.evictionEpisodes(n1), 1u);
+
+    util::JsonValue json;
+    ASSERT_TRUE(util::parseJson(obs::Tracer::global().canonicalString(),
+                                json));
+    const util::JsonValue *traceEvents = json.field("traceEvents");
+    ASSERT_NE(traceEvents, nullptr);
+    std::vector<double> evictedMs;
+    double evictedAt = -1.0;
+    for (const util::JsonValue &event : traceEvents->items) {
+        if (event.stringAt("name") != "pod->Pending")
+            continue;
+        if (evictedAt < 0.0)
+            evictedAt = event.numberAt("ts");
+        EXPECT_EQ(event.numberAt("ts"), evictedAt); // one sweep instant
+        EXPECT_EQ(event.numberAt("args.node"), static_cast<double>(n1));
+        evictedMs.push_back(event.numberAt("args.ms"));
+    }
+    EXPECT_EQ(evictedMs, (std::vector<double>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(cluster.evictedPodCount(), 5u);
+    EXPECT_EQ(cluster.invariantViolations(), 0u);
 }

@@ -516,6 +516,54 @@ TEST(ServeDaemon, RejectsMalformedCommands)
     EXPECT_FALSE(okOf(early));
 }
 
+TEST(ServeDaemon, AddNodesRejectsUnboundedCounts)
+{
+    ServeDaemon daemon;
+    // -3 used to cast to a huge size_t and add nodes until killed.
+    for (const char *line :
+         {R"({"cmd":"add-nodes","count":-3})",
+          R"({"cmd":"add-nodes","count":0})",
+          R"({"cmd":"add-nodes","count":2.5})",
+          R"({"cmd":"add-nodes","count":10001})",
+          R"({"cmd":"add-nodes","count":1e308})",
+          R"({"cmd":"add-nodes","count":"3"})",
+          R"({"cmd":"add-nodes","count":2,"capacity":-8})",
+          R"({"cmd":"add-nodes","count":2,"capacity":1e999})"}) {
+        auto rejected = reply(daemon, line);
+        EXPECT_FALSE(okOf(rejected)) << line;
+        EXPECT_FALSE(rejected.stringAt("error").empty()) << line;
+    }
+    EXPECT_EQ(daemon.cluster().nodeCount(), 0u);
+
+    auto added = reply(daemon, R"({"cmd":"add-nodes","count":3})");
+    EXPECT_TRUE(okOf(added));
+    EXPECT_NEAR(added.numberAt("nodes"), 3.0, 1e-12);
+}
+
+TEST(ServeDaemon, AdvanceRejectsUnboundedHorizons)
+{
+    ServeDaemon daemon;
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"add-nodes","count":2})")));
+    // 1e308 used to run the event queue forever.
+    for (const char *line :
+         {R"({"cmd":"advance","seconds":1e308})",
+          R"({"cmd":"advance","seconds":1e999})",
+          R"({"cmd":"advance","seconds":86400.5})",
+          R"({"cmd":"advance","seconds":-5})",
+          R"({"cmd":"advance","seconds":0})",
+          R"({"cmd":"advance"})"}) {
+        auto rejected = reply(daemon, line);
+        EXPECT_FALSE(okOf(rejected)) << line;
+        EXPECT_FALSE(rejected.stringAt("error").empty()) << line;
+    }
+    EXPECT_EQ(daemon.now(), 0.0);
+
+    // The documented maximum itself is accepted.
+    auto advanced = reply(daemon, R"({"cmd":"advance","seconds":86400})");
+    EXPECT_TRUE(okOf(advanced));
+    EXPECT_NEAR(daemon.now(), ServeDaemon::kMaxAdvanceSeconds, 1e-9);
+}
+
 TEST(ServeDaemon, ReplStopsOnShutdown)
 {
     ServeDaemon daemon;
