@@ -7,11 +7,13 @@
 #   scripts/ci.sh            # full gate
 #   scripts/ci.sh --fast     # tier-1 + smokes only, skip sanitizers
 #   PERFBENCH=1 scripts/ci.sh --fast   # plus the perfbench self-test
+#   TSAN=1 scripts/ci.sh --fast        # plus the suite under TSan
 #
 # The TSan configuration (scripts/sanitize.sh thread) is not part of
 # the default gate — it roughly triples runtime — but is the tree that
-# exercises the exp pool sharding and the obs registry's lock-free
-# counters (Obs.ConcurrentRegistryHammer); run it when touching either.
+# exercises the exp engine's thread pool (parallel grid cells) and the
+# obs registry's lock-free counters (Obs.ConcurrentRegistryHammer);
+# export TSAN=1 when touching either.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -94,6 +96,14 @@ fi
 if [[ "${PERFBENCH:-}" == "1" ]]; then
   step "benchmark self-test: perfbench/test_perfbench.py"
   python3 perfbench/test_perfbench.py
+fi
+
+# Thread sanitizer, opt-in: export TSAN=1 to run the whole suite under
+# TSan (scripts/sanitize.sh thread, its own build-thread tree). Runs
+# with or without --fast, since asking for it is explicit.
+if [[ "${TSAN:-}" == "1" ]]; then
+  step "full suite under ThreadSanitizer"
+  scripts/sanitize.sh thread
 fi
 
 if [[ "$FAST" == "1" ]]; then

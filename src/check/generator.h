@@ -88,12 +88,10 @@ struct GeneratorOptions
 
     /** Probability that the failure step is zone-local: every failed
      * node shares one residue id % zoneFailureZones — the blast shape
-     * the zone-sharded capacity index routes and the incremental
-     * replanner's dirty-zone hints describe. */
+     * of a zone kill, which the incremental replanner reconciles as a
+     * bounded diff. */
     double zoneFailureProbability = 0.3;
-    /** Zone count used to pick zone-local failure targets (must match
-     * the oracle's shard knob to make the failure single-zone for the
-     * schemes under test). */
+    /** Zone count used to pick zone-local failure targets. */
     int zoneFailureZones = 3;
 };
 

@@ -79,7 +79,7 @@ class ResilienceScheme
      * (kube::KubeCluster::drainDirtyNodes). Correctness never depends
      * on it — incremental replanning reconciles against the full
      * observed state — so the default ignores it; PhoenixScheme uses
-     * it to surface blast-radius observability (core.dirty_zones).
+     * it to surface blast-radius observability (core.dirty_nodes).
      */
     virtual void
     noteDirtyNodes(const std::vector<sim::NodeId> &nodes)
@@ -113,9 +113,6 @@ class PhoenixScheme : public ResilienceScheme
 
   private:
     Objective objective_;
-    // Kept for the dirty-zone observability (zoneShards bucketing).
-    PlannerOptions plannerOptions_;
-    PackingOptions packingOptions_;
     // Long-lived so their scratch arenas survive across apply() calls
     // (one controller epoch after another): steady-state planning and
     // packing allocate nothing for bookkeeping, and the incremental
@@ -127,8 +124,7 @@ class PhoenixScheme : public ResilienceScheme
     struct
     {
         obs::Counter *replansIncremental = nullptr;
-        obs::Counter *shardsPlanned = nullptr;
-        obs::Counter *dirtyZones = nullptr;
+        obs::Counter *dirtyNodes = nullptr;
         obs::LogHistogram *reconcileSeconds = nullptr;
     } obs_;
 };

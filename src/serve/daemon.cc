@@ -22,6 +22,29 @@ errorReply(const std::string &message)
     return "{\"ok\":false,\"error\":" + util::jsonQuote(message) + "}";
 }
 
+/** Largest integer an IEEE double (a JSON number) holds exactly. */
+constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
+
+/** Integer field @p name in [lo, hi], or @p fallback when absent;
+ * nullopt when present but not such an integer. */
+std::optional<int64_t>
+integerField(const util::JsonValue &object, const char *name,
+             int64_t lo, int64_t hi, int64_t fallback)
+{
+    const util::JsonValue *field = object.field(name);
+    if (!field)
+        return fallback;
+    return field->integer(lo, hi);
+}
+
+std::string
+rangeError(const std::string &what, int64_t lo, int64_t hi)
+{
+    return errorReply(what + " must be an integer in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) +
+                      "]");
+}
+
 /** Shift a curve's control points by @p offset seconds (serve-start
  * shapes are authored relative to the serving window). */
 apps::RateCurve
@@ -219,10 +242,6 @@ ServeDaemon::cmdStartController(const util::JsonValue &command)
         return errorReply("unknown scheme " + util::jsonQuote(scheme) +
                           " (PhoenixCost | PhoenixFair)");
     }
-    controller_ = std::make_unique<core::PhoenixController>(
-        events_, cluster_,
-        std::make_unique<core::PhoenixScheme>(objective),
-        config_.controller);
 
     const util::JsonValue *forecastFlag = command.field("forecast");
     const bool forecastOn =
@@ -230,13 +249,18 @@ ServeDaemon::cmdStartController(const util::JsonValue &command)
         ((forecastFlag->kind == util::JsonValue::Kind::Bool &&
           forecastFlag->boolean) ||
          (forecastFlag->isNumber() && forecastFlag->number != 0.0));
+    forecast::ForecastConfig forecastConfig;
+    const auto zones = integerField(
+        command, "zones", 1, kMaxZones,
+        static_cast<int64_t>(forecastConfig.fallbackZoneCount));
+    if (!zones)
+        return rangeError("start-controller zones", 1, kMaxZones);
+    controller_ = std::make_unique<core::PhoenixController>(
+        events_, cluster_,
+        std::make_unique<core::PhoenixScheme>(objective),
+        config_.controller);
     if (forecastOn) {
-        forecast::ForecastConfig forecastConfig;
-        forecastConfig.fallbackZoneCount = static_cast<size_t>(
-            command.numberAt(
-                "zones",
-                static_cast<double>(
-                    forecastConfig.fallbackZoneCount)));
+        forecastConfig.fallbackZoneCount = static_cast<size_t>(*zones);
         forecastConfig.horizonSeconds = command.numberAt(
             "horizon", forecastConfig.horizonSeconds);
         forecaster_ = std::make_unique<forecast::Forecaster>(
@@ -352,6 +376,22 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
         return errorReply(
             "inject-scenario needs a non-empty 'steps' array");
 
+    sim::ScenarioOptions options;
+    const auto seed = integerField(
+        command, "seed", 0, kMaxExactInteger,
+        static_cast<int64_t>(config_.seed));
+    if (!seed)
+        return rangeError("inject-scenario seed", 0, kMaxExactInteger);
+    options.seed = static_cast<uint64_t>(*seed);
+    const auto zones =
+        integerField(command, "zones", 1, kMaxZones,
+                     static_cast<int64_t>(options.zoneCount));
+    if (!zones)
+        return rangeError("inject-scenario zones", 1, kMaxZones);
+    options.zoneCount = static_cast<size_t>(*zones);
+
+    // Node ids and counts name nodes that exist now.
+    const int64_t nodeCount = static_cast<int64_t>(cluster_.nodeCount());
     sim::Scenario scenario;
     for (const util::JsonValue &step : steps->items) {
         if (!step.isObject())
@@ -363,33 +403,43 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
             if (!nodes || !nodes->isArray())
                 return errorReply(kind + " needs a 'nodes' array");
             std::vector<sim::NodeId> ids;
-            for (const util::JsonValue &node : nodes->items)
-                ids.push_back(
-                    static_cast<sim::NodeId>(node.number));
+            for (const util::JsonValue &node : nodes->items) {
+                const auto id = node.integer(0, nodeCount - 1);
+                if (!id)
+                    return rangeError(kind + " node id", 0,
+                                      nodeCount - 1);
+                ids.push_back(static_cast<sim::NodeId>(*id));
+            }
             if (kind == "fail-nodes")
                 scenario.failNodes(at, std::move(ids));
             else
                 scenario.recoverNodes(at, std::move(ids));
-        } else if (kind == "fail-count") {
-            scenario.failCount(
-                at,
-                static_cast<size_t>(step.numberAt("count", 1.0)));
+        } else if (kind == "fail-count" || kind == "rolling-fail") {
+            const auto count =
+                integerField(step, "count", 0, nodeCount, 1);
+            if (!count)
+                return rangeError(kind + " count", 0, nodeCount);
+            if (kind == "fail-count")
+                scenario.failCount(at, static_cast<size_t>(*count));
+            else
+                scenario.rollingFail(at, static_cast<size_t>(*count),
+                                     step.numberAt("interval", 60.0));
         } else if (kind == "fail-capacity-fraction") {
             scenario.failCapacityFraction(
                 at, step.numberAt("fraction", 0.0));
         } else if (kind == "fail-zone") {
-            scenario.failZone(
-                at, static_cast<size_t>(step.numberAt("zone", 0.0)));
-        } else if (kind == "rolling-fail") {
-            scenario.rollingFail(
-                at,
-                static_cast<size_t>(step.numberAt("count", 1.0)),
-                step.numberAt("interval", 60.0));
+            const auto zone =
+                integerField(step, "zone", 0, *zones - 1, 0);
+            if (!zone)
+                return rangeError("fail-zone zone", 0, *zones - 1);
+            scenario.failZone(at, static_cast<size_t>(*zone));
         } else if (kind == "flap") {
-            scenario.flapKubelet(
-                at,
-                static_cast<sim::NodeId>(step.numberAt("node", 0.0)),
-                step.numberAt("downtime", 30.0));
+            const auto node =
+                integerField(step, "node", 0, nodeCount - 1, 0);
+            if (!node)
+                return rangeError("flap node", 0, nodeCount - 1);
+            scenario.flapKubelet(at, static_cast<sim::NodeId>(*node),
+                                 step.numberAt("downtime", 30.0));
         } else if (kind == "recover-all") {
             scenario.recoverAll(at, step.numberAt("stagger", 0.0));
         } else {
@@ -398,11 +448,6 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
         }
     }
 
-    sim::ScenarioOptions options;
-    options.seed = static_cast<uint64_t>(
-        command.numberAt("seed", static_cast<double>(config_.seed)));
-    options.zoneCount = static_cast<size_t>(command.numberAt(
-        "zones", static_cast<double>(options.zoneCount)));
     runners_.push_back(std::make_unique<sim::ScenarioRunner>(
         events_, cluster_, std::move(scenario), options));
     std::ostringstream out;
@@ -465,33 +510,40 @@ std::string
 ServeDaemon::cmdPodVerb(const std::string &verb,
                         const util::JsonValue &command)
 {
+    constexpr int64_t kMaxId = UINT32_MAX; // AppId, MsId, replica
     const util::JsonValue *app = command.field("app");
     const util::JsonValue *ms = command.field("ms");
-    if (!app || !app->isNumber() || !ms || !ms->isNumber())
-        return errorReply(verb + " needs numeric 'app' and 'ms'");
+    const auto appId = app ? app->integer(0, kMaxId) : std::nullopt;
+    const auto msId = ms ? ms->integer(0, kMaxId) : std::nullopt;
+    const auto replica = integerField(command, "replica", 0, kMaxId, 0);
+    if (!appId || !msId || !replica)
+        return rangeError(verb + " app, ms and replica", 0, kMaxId);
+    // restart-pod's node is an optional pin; migrate-pod needs one.
+    const util::JsonValue *node = command.field("node");
+    if (!node && verb == "migrate-pod")
+        return errorReply("migrate-pod needs a numeric 'node'");
+    const int64_t lastNode = static_cast<int64_t>(cluster_.nodeCount()) - 1;
+    std::optional<sim::NodeId> target;
+    if (node) {
+        const auto id = node->integer(0, lastNode);
+        if (!id)
+            return rangeError(verb + " node", 0, lastNode);
+        target = static_cast<sim::NodeId>(*id);
+    }
+
     sim::PodRef ref;
-    ref.app = static_cast<sim::AppId>(app->number);
-    ref.ms = static_cast<sim::MsId>(ms->number);
-    ref.replica =
-        static_cast<uint32_t>(command.numberAt("replica", 0.0));
+    ref.app = static_cast<sim::AppId>(*appId);
+    ref.ms = static_cast<sim::MsId>(*msId);
+    ref.replica = static_cast<uint32_t>(*replica);
     if (!cluster_.pod(ref))
         return errorReply("no such pod");
 
-    if (verb == "delete-pod") {
+    if (verb == "delete-pod")
         cluster_.deletePod(ref);
-    } else if (verb == "restart-pod") {
-        std::optional<sim::NodeId> pinned;
-        const util::JsonValue *node = command.field("node");
-        if (node && node->isNumber())
-            pinned = static_cast<sim::NodeId>(node->number);
-        cluster_.startPod(ref, pinned);
-    } else { // migrate-pod
-        const util::JsonValue *node = command.field("node");
-        if (!node || !node->isNumber())
-            return errorReply("migrate-pod needs a numeric 'node'");
-        cluster_.migratePod(ref,
-                            static_cast<sim::NodeId>(node->number));
-    }
+    else if (verb == "restart-pod")
+        cluster_.startPod(ref, target);
+    else // migrate-pod
+        cluster_.migratePod(ref, *target);
     return "{\"ok\":true}";
 }
 

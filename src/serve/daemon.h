@@ -29,9 +29,13 @@
  * service) so serve-start works on them too.
  *
  * One request's work is bounded: add-nodes takes an integral count in
- * [1, kMaxAddNodes] and advance a finite horizon in
- * (0, kMaxAdvanceSeconds]; anything else is an error reply, never a
- * hang. Longer runs issue several advances.
+ * [1, kMaxAddNodes], advance a finite horizon in
+ * (0, kMaxAdvanceSeconds] and zone counts lie in [1, kMaxZones];
+ * anything else is an error reply, never a hang. Longer runs issue
+ * several advances. Every integer input (node ids, counts, zones,
+ * seeds, pod coordinates) is range-checked before use: a node id must
+ * name an existing node, and a non-integral or out-of-range value is
+ * an error reply, never a crash.
  *
  * Every reply is a single line: {"ok":true,...} or
  * {"ok":false,"error":"..."}. handleLine() is the testable core; the
@@ -73,6 +77,9 @@ class ServeDaemon
     /** Longest sim horizon one advance request may cover (one sim
      * day). */
     static constexpr double kMaxAdvanceSeconds = 86400.0;
+    /** Most zones inject-scenario and the forecaster may partition
+     * the cluster into. */
+    static constexpr int64_t kMaxZones = 1024;
 
     explicit ServeDaemon(DaemonConfig config = {});
 

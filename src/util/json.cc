@@ -49,6 +49,19 @@ JsonValue::stringAt(const std::string &dotted,
     return node && node->kind == Kind::String ? node->text : fallback;
 }
 
+std::optional<int64_t>
+JsonValue::integer(int64_t lo, int64_t hi) const
+{
+    // The magnitude test runs first (NaN fails it too): it keeps the
+    // cast below inside int64_t's range, where it is defined.
+    if (kind != Kind::Number || !(std::fabs(number) < 0x1p62))
+        return std::nullopt;
+    const int64_t value = static_cast<int64_t>(number);
+    if (static_cast<double>(value) != number || value < lo || value > hi)
+        return std::nullopt;
+    return value;
+}
+
 namespace {
 
 class JsonParser

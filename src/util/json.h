@@ -12,6 +12,8 @@
 #ifndef PHOENIX_UTIL_JSON_H
 #define PHOENIX_UTIL_JSON_H
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,14 @@ struct JsonValue
     /** Field's string, or @p fallback when absent / not a string. */
     std::string stringAt(const std::string &dotted,
                          const std::string &fallback = "") const;
+
+    /**
+     * This value as an integer in [@p lo, @p hi]; nullopt when it is
+     * not a number, or is non-finite, non-integral or out of range.
+     * Checked before any conversion, so hostile input never reaches an
+     * undefined double -> integer cast.
+     */
+    std::optional<int64_t> integer(int64_t lo, int64_t hi) const;
 };
 
 /**

@@ -1,19 +1,22 @@
 /**
  * @file
  * Delta-bookkeeping tests for incremental replanning: a long-lived
- * PhoenixScheme with the incremental + sharded options enabled, fed by
+ * PhoenixScheme with the incremental options enabled, fed by
  * KubeCluster's dirty-node tracking across realistic failure
  * histories, must produce output bit-identical to a from-scratch
  * scheme applied to the same observed state at every epoch.
  *
- * Three histories exercise the reconcile paths:
+ * Four histories exercise the reconcile paths:
  *  - a kubelet flap inside the grace period (observed state never
  *    changes — the carried-over index must survive a no-op epoch);
  *  - a zone failing, partially recovering, then failing again
  *    (erase -> insert -> erase churn on the same nodes);
  *  - recovery of a node whose pods were re-homed elsewhere in the
  *    meantime (the node returns empty; its old index entries are
- *    stale on both key and membership).
+ *    stale on both key and membership);
+ *  - the cluster growing between epochs (the node count changes, so
+ *    the carried-over index must be rebuilt cold, then reconciled
+ *    warm again on the next epoch).
  */
 
 #include <gtest/gtest.h>
@@ -106,10 +109,8 @@ makeWarm(Objective objective)
 {
     PlannerOptions planner_opts;
     planner_opts.incremental = true;
-    planner_opts.shardCount = 2;
     PackingOptions packing_opts;
     packing_opts.incremental = true;
-    packing_opts.zoneShards = 3;
     return PhoenixScheme(objective, planner_opts, packing_opts);
 }
 
@@ -165,7 +166,7 @@ TEST(Incremental, ConstrainedZoneFailRecoverDoesNotDrift)
 {
     // Explicit zones + placement policies: a full zone failing and
     // recovering must not drift constrained placements between the
-    // warm (incremental + sharded) scheme and a cold one — the
+    // warm (incremental) scheme and a cold one — the
     // vacancy allocator rebuilds per epoch, but the capacity index it
     // filters is the carried-over incremental one.
     sim::EventQueue events;
@@ -231,4 +232,28 @@ TEST(Incremental, RecoveryAfterPodsRehomed)
     f.cluster.startKubelet(5);
     f.events.runUntil(f.events.now() + 60.0);
     epochIdentity(warm, f.cluster, Objective::Fair, "recovered empty");
+}
+
+TEST(Incremental, NodeCountChangeRebuildsIndex)
+{
+    Fixture f;
+    PhoenixScheme warm = makeWarm(Objective::Cost);
+    epochIdentity(warm, f.cluster, Objective::Cost, "baseline");
+
+    // Knock a node out so the grown cluster has pods to re-place.
+    f.cluster.stopKubelet(2);
+    f.events.runUntil(f.events.now() + 150.0);
+    epochIdentity(warm, f.cluster, Objective::Cost, "node down");
+
+    // New nodes join: the node count no longer matches the carried-over
+    // index, which must fall back to a cold rebuild.
+    for (int n = 0; n < 4; ++n)
+        f.cluster.addNode(8.0);
+    f.events.runUntil(f.events.now() + 30.0);
+    epochIdentity(warm, f.cluster, Objective::Cost, "grown");
+
+    // The next epoch at the new size reconciles warm again.
+    f.cluster.stopKubelet(13);
+    f.events.runUntil(f.events.now() + 150.0);
+    epochIdentity(warm, f.cluster, Objective::Cost, "refail after grow");
 }

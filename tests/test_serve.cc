@@ -564,6 +564,62 @@ TEST(ServeDaemon, AdvanceRejectsUnboundedHorizons)
     EXPECT_NEAR(daemon.now(), ServeDaemon::kMaxAdvanceSeconds, 1e-9);
 }
 
+TEST(ServeDaemon, RejectsOutOfRangeScenarioNodes)
+{
+    ServeDaemon daemon;
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"load-testbed"})")));
+    const size_t nodes = daemon.cluster().nodeCount();
+    ASSERT_GT(nodes, 0u);
+
+    // Node 100000000 used to be accepted and then crash the daemon
+    // (an unchecked nodes_[] index) on the next advance; the other
+    // lines cast negative, fractional or huge doubles to integers.
+    for (const char *line :
+         {R"({"cmd":"inject-scenario","steps":[{"kind":"fail-nodes","at":1,"nodes":[100000000]}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"recover-nodes","nodes":[25]}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"fail-nodes","nodes":[-1]}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"fail-nodes","nodes":[1.5]}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"fail-nodes","nodes":["3"]}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"fail-zone","zone":-1}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"fail-zone","zone":5}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"flap","node":1e308}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"fail-count","count":-2}]})",
+          R"({"cmd":"inject-scenario","steps":[{"kind":"rolling-fail","count":1e18,"interval":0}]})",
+          R"({"cmd":"inject-scenario","seed":-1,"steps":[{"kind":"recover-all"}]})",
+          R"({"cmd":"inject-scenario","seed":1e300,"steps":[{"kind":"recover-all"}]})",
+          R"({"cmd":"inject-scenario","zones":0,"steps":[{"kind":"recover-all"}]})",
+          R"({"cmd":"inject-scenario","zones":2.5,"steps":[{"kind":"recover-all"}]})",
+          R"({"cmd":"delete-pod","app":-1,"ms":0})",
+          R"({"cmd":"delete-pod","app":0,"ms":1e10})",
+          R"({"cmd":"delete-pod","app":0,"ms":0,"replica":-1})",
+          R"({"cmd":"restart-pod","app":0,"ms":0,"node":100000000})",
+          R"({"cmd":"migrate-pod","app":0,"ms":0,"node":-1})",
+          R"({"cmd":"migrate-pod","app":0,"ms":0,"node":25})",
+          R"({"cmd":"start-controller","forecast":true,"zones":0})",
+          R"({"cmd":"start-controller","forecast":true,"zones":1e12})"}) {
+        auto rejected = reply(daemon, line);
+        EXPECT_FALSE(okOf(rejected)) << line;
+        EXPECT_FALSE(rejected.stringAt("error").empty()) << line;
+    }
+    // Nothing was armed or started by the rejected requests.
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"advance","seconds":5})")));
+    EXPECT_EQ(daemon.cluster().readyCapacity(),
+              daemon.cluster().totalCapacity());
+
+    // In-range requests still work: the last node fails and a zone is
+    // addressable up to zones - 1.
+    const std::string last = std::to_string(nodes - 1);
+    EXPECT_TRUE(okOf(reply(
+        daemon, R"({"cmd":"inject-scenario","steps":[{"kind":"fail-nodes","at":6,"nodes":[)" +
+                    last + "]}]}")));
+    EXPECT_TRUE(okOf(reply(
+        daemon, R"({"cmd":"inject-scenario","zones":3,"steps":[{"kind":"fail-zone","at":7,"zone":2}]})")));
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"start-controller","forecast":true,"zones":3})")));
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"advance","seconds":300})")));
+    EXPECT_LT(daemon.cluster().readyCapacity(),
+              daemon.cluster().totalCapacity());
+}
+
 TEST(ServeDaemon, ReplStopsOnShutdown)
 {
     ServeDaemon daemon;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the utility layer: RNG determinism and distribution sanity,
- * statistics helpers, the sorted key/value container, and table output.
+ * statistics helpers, the sorted key/value container, table output, and
+ * the JSON value's checked integer accessor.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "util/bucketed_kv.h"
 #include "util/heap.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/sorted_kv.h"
 #include "util/stats.h"
@@ -494,4 +496,39 @@ TEST(Table, AlignedOutputAndCsv)
     EXPECT_EQ(csv.str(),
               "scheme,availability\nPhoenixFair,0.91\nDefault,0.40\n");
     EXPECT_EQ(table.rowCount(), 2u);
+}
+
+TEST(Json, IntegerAccessorRejectsNonIntegralAndOutOfRange)
+{
+    const auto number = [](double v) {
+        JsonValue value;
+        value.kind = JsonValue::Kind::Number;
+        value.number = v;
+        return value;
+    };
+    EXPECT_EQ(number(7.0).integer(0, 10), 7);
+    EXPECT_EQ(number(0.0).integer(0, 10), 0);
+    EXPECT_EQ(number(10.0).integer(0, 10), 10);
+    EXPECT_EQ(number(-3.0).integer(-5, 5), -3);
+    EXPECT_EQ(number(9007199254740992.0).integer(0, int64_t{1} << 53),
+              int64_t{1} << 53);
+
+    for (const double bad :
+         {-1.0, 11.0, 2.5, -0.5, 1e308, -1e308, 1e19, -1e19,
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_FALSE(number(bad).integer(0, 10)) << bad;
+    // The whole int64_t range as bounds: huge magnitudes are still
+    // rejected instead of overflowing the conversion.
+    EXPECT_FALSE(number(1e19).integer(INT64_MIN, INT64_MAX));
+    EXPECT_FALSE(number(-1e19).integer(INT64_MIN, INT64_MAX));
+    // An empty range rejects everything.
+    EXPECT_FALSE(number(0.0).integer(0, -1));
+
+    JsonValue text;
+    text.kind = JsonValue::Kind::String;
+    text.text = "3";
+    EXPECT_FALSE(text.integer(0, 10));
+    EXPECT_FALSE(JsonValue().integer(0, 10)); // null
 }
