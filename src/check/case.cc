@@ -1,6 +1,8 @@
 #include "case.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/json.h"
@@ -290,14 +292,47 @@ fail(std::string *error, const std::string &what)
     return false;
 }
 
+// Bounds for the integer fields of a case. Every read goes through
+// JsonValue::integerAt, so a non-integral, non-finite or out-of-range
+// value is a parse error, never an undefined double -> int cast.
+
+/** Replicas per service. The generator emits at most 3; the cap keeps
+ * a hostile case from asking the replica slot tables or the packer's
+ * per-replica loop for billions of entries. Per-service counts that
+ * measure replicas (quorum, caps, spread, PDB) share the bound. */
+constexpr int64_t kMaxReplicas = 1024;
+/** Group ids are matched by value and group caps are counts; neither
+ * indexes anything, so they may span the whole non-negative int. */
+constexpr int64_t kMaxIntField = std::numeric_limits<int>::max();
+constexpr int64_t kMaxId32 = std::numeric_limits<uint32_t>::max();
+
+/** Integer field @p name of @p entry in [lo, hi] (or @p fallback when
+ * absent) into @p out; false with an error naming the field when it is
+ * present but not such an integer. */
+template <typename T>
+bool
+readInteger(const JsonValue &entry, const char *name, int64_t lo,
+            int64_t hi, int64_t fallback, T &out, std::string *error)
+{
+    const std::optional<int64_t> value =
+        entry.integerAt(name, lo, hi, fallback);
+    if (!value)
+        return fail(error, std::string(name) + " must be an integer in [" +
+                               std::to_string(lo) + ", " +
+                               std::to_string(hi) + "]");
+    out = static_cast<T>(*value);
+    return true;
+}
+
 bool
 parseApp(const JsonValue &node, size_t index, sim::Application &app,
          std::string *error)
 {
     if (!node.isObject())
         return fail(error, "app entry is not an object");
-    app.id = static_cast<sim::AppId>(
-        node.numberAt("id", static_cast<double>(index)));
+    if (!readInteger(node, "id", 0, kMaxId32, static_cast<int64_t>(index),
+                     app.id, error))
+        return false;
     app.name = "app" + std::to_string(index);
     app.pricePerUnit = node.numberAt("price", 1.0);
     const JsonValue *enabled = node.field("phoenix_enabled");
@@ -316,24 +351,26 @@ parseApp(const JsonValue &node, size_t index, sim::Application &app,
         ms.id = static_cast<sim::MsId>(m);
         ms.name = "ms" + std::to_string(m);
         ms.cpu = entry.numberAt("cpu", 1.0);
-        ms.criticality =
-            static_cast<int>(entry.numberAt("criticality", 1.0));
-        ms.replicas = static_cast<int>(entry.numberAt("replicas", 1.0));
-        ms.quorum = static_cast<int>(entry.numberAt("quorum", 0.0));
-        ms.antiAffinityGroup =
-            static_cast<int>(entry.numberAt("group", -1.0));
-        ms.maxPerNode =
-            static_cast<int>(entry.numberAt("max_per_node", 0.0));
-        ms.maxPerZone =
-            static_cast<int>(entry.numberAt("max_per_zone", 0.0));
-        ms.minZoneSpread =
-            static_cast<int>(entry.numberAt("min_zone_spread", 0.0));
-        ms.pdbMaxUnavailable = static_cast<int>(
-            entry.numberAt("pdb_max_unavailable", -1.0));
+        if (!readInteger(entry, "criticality", sim::kC1,
+                         sim::kLowestCriticality, sim::kC1, ms.criticality,
+                         error) ||
+            !readInteger(entry, "replicas", 1, kMaxReplicas, 1,
+                         ms.replicas, error) ||
+            !readInteger(entry, "quorum", 0, kMaxReplicas, 0, ms.quorum,
+                         error) ||
+            !readInteger(entry, "group", -1, kMaxIntField, -1,
+                         ms.antiAffinityGroup, error) ||
+            !readInteger(entry, "max_per_node", 0, kMaxReplicas, 0,
+                         ms.maxPerNode, error) ||
+            !readInteger(entry, "max_per_zone", 0, kMaxReplicas, 0,
+                         ms.maxPerZone, error) ||
+            !readInteger(entry, "min_zone_spread", 0, kMaxReplicas, 0,
+                         ms.minZoneSpread, error) ||
+            !readInteger(entry, "pdb_max_unavailable", -1, kMaxReplicas,
+                         -1, ms.pdbMaxUnavailable, error))
+            return false;
         if (ms.cpu < 0.0)
             return fail(error, "negative service cpu");
-        if (ms.replicas < 1)
-            ms.replicas = 1;
         app.services.push_back(ms);
     }
 
@@ -343,11 +380,13 @@ parseApp(const JsonValue &node, size_t index, sim::Application &app,
             if (!entry.isObject())
                 return fail(error, "group entry is not an object");
             sim::PlacementGroup group;
-            group.id = static_cast<int>(entry.numberAt("id", 0.0));
-            group.maxPerNode =
-                static_cast<int>(entry.numberAt("max_per_node", 0.0));
-            group.maxPerZone =
-                static_cast<int>(entry.numberAt("max_per_zone", 0.0));
+            if (!readInteger(entry, "id", 0, kMaxIntField, 0, group.id,
+                             error) ||
+                !readInteger(entry, "max_per_node", 0, kMaxIntField, 0,
+                             group.maxPerNode, error) ||
+                !readInteger(entry, "max_per_zone", 0, kMaxIntField, 0,
+                             group.maxPerZone, error))
+                return false;
             app.placementGroups.push_back(group);
         }
     }
@@ -359,13 +398,14 @@ parseApp(const JsonValue &node, size_t index, sim::Application &app,
             if (!edge.isArray() || edge.items.size() != 2 ||
                 !edge.items[0].isNumber() || !edge.items[1].isNumber())
                 return fail(error, "malformed dependency edge");
-            const auto u =
-                static_cast<graph::NodeId>(edge.items[0].number);
-            const auto v =
-                static_cast<graph::NodeId>(edge.items[1].number);
-            if (u >= app.services.size() || v >= app.services.size())
+            const int64_t last =
+                static_cast<int64_t>(app.services.size()) - 1;
+            const auto u = edge.items[0].integer(0, last);
+            const auto v = edge.items[1].integer(0, last);
+            if (!u || !v)
                 return fail(error, "dependency edge out of range");
-            app.dag.addEdge(u, v);
+            app.dag.addEdge(static_cast<graph::NodeId>(*u),
+                            static_cast<graph::NodeId>(*v));
         }
         if (!app.dag.isAcyclic())
             return fail(error, "dependency graph has a cycle");
@@ -410,10 +450,11 @@ parseStep(const JsonValue &node, size_t node_count, CaseStep &step,
     for (const JsonValue &entry : nodes->items) {
         if (!entry.isNumber())
             return fail(error, "step node is not a number");
-        const auto id = static_cast<sim::NodeId>(entry.number);
-        if (id >= node_count)
+        const auto id =
+            entry.integer(0, static_cast<int64_t>(node_count) - 1);
+        if (!id)
             return fail(error, "step references missing node");
-        step.nodes.push_back(id);
+        step.nodes.push_back(static_cast<sim::NodeId>(*id));
     }
     return true;
 }
@@ -455,12 +496,12 @@ CheckCase::fromJson(const std::string &text, std::string *error)
     if (const JsonValue *zones = root.field("zones");
         zones && zones->isArray()) {
         for (const JsonValue &entry : zones->items) {
-            if (!entry.isNumber() || entry.number < 0.0) {
+            const auto zone = entry.integer(0, kMaxId32);
+            if (!zone) {
                 fail(error, "malformed node zone");
                 return std::nullopt;
             }
-            out.nodeZones.push_back(
-                static_cast<uint32_t>(entry.number));
+            out.nodeZones.push_back(static_cast<uint32_t>(*zone));
         }
         if (out.nodeZones.size() != out.nodeCapacities.size()) {
             fail(error, "zones array does not match nodes array");

@@ -501,11 +501,8 @@ LpScheme::apply(const std::vector<Application> &apps,
 
     // Materialize the target state from y.
     ClusterState target = current;
-    for (const auto &[pod, node] : std::map<PodRef, NodeId>(
-             current.assignment().begin(), current.assignment().end())) {
-        (void)node;
+    for (const auto &[pod, node] : current.assignment())
         target.evict(pod);
-    }
     result.pack.complete = true;
     for (size_t a = 0; a < apps.size(); ++a) {
         for (MsId m = 0; m < apps[a].services.size(); ++m) {
@@ -541,15 +538,8 @@ diffStates(const std::vector<Application> &apps, const ClusterState &from,
     // scratch copy and only emit actions that apply cleanly.
     ClusterState scratch = from;
 
-    // Sorted snapshots: assignment() iteration order is not
-    // deterministic, action lists must be.
-    const std::map<PodRef, NodeId> before(from.assignment().begin(),
-                                          from.assignment().end());
-    const std::map<PodRef, NodeId> after(to.assignment().begin(),
-                                         to.assignment().end());
-
     // Deletes first: they only free capacity.
-    for (const auto &[pod, node] : before) {
+    for (const auto &[pod, node] : from.assignment()) {
         if (!to.isActive(pod)) {
             scratch.evict(pod);
             Action a;
@@ -572,7 +562,7 @@ diffStates(const std::vector<Application> &apps, const ClusterState &from,
         double cpu;
     };
     std::vector<Move> pending;
-    for (const auto &[pod, node] : before) {
+    for (const auto &[pod, node] : from.assignment()) {
         const auto now = to.nodeOf(pod);
         if (now && *now != node)
             pending.push_back(Move{pod, node, *now, to.podCpu(pod)});
@@ -611,7 +601,7 @@ diffStates(const std::vector<Application> &apps, const ClusterState &from,
 
     // Restarts last: `scratch` is now a sub-assignment of the (
     // feasible) target, so every remaining placement fits.
-    for (const auto &[pod, node] : after) {
+    for (const auto &[pod, node] : to.assignment()) {
         if (!from.isActive(pod)) {
             Action a;
             a.kind = ActionKind::Restart;

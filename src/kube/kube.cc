@@ -932,10 +932,10 @@ KubeCluster::buildState() const
         if (!rec.ready)
             state.failNode(rec.id);
     }
-    // Table order is PodRef order, so every insert lands at the end.
+    // Table order is PodRef order, so every place() appends.
     for (const Pod &pod : pods_) {
         if (occupiesNode(pod.phase))
-            state.placeInOrder(pod.ref, pod.node, pod.cpu);
+            state.place(pod.ref, pod.node, pod.cpu);
     }
     return state;
 }

@@ -25,18 +25,6 @@ errorReply(const std::string &message)
 /** Largest integer an IEEE double (a JSON number) holds exactly. */
 constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
 
-/** Integer field @p name in [lo, hi], or @p fallback when absent;
- * nullopt when present but not such an integer. */
-std::optional<int64_t>
-integerField(const util::JsonValue &object, const char *name,
-             int64_t lo, int64_t hi, int64_t fallback)
-{
-    const util::JsonValue *field = object.field(name);
-    if (!field)
-        return fallback;
-    return field->integer(lo, hi);
-}
-
 std::string
 rangeError(const std::string &what, int64_t lo, int64_t hi)
 {
@@ -250,8 +238,8 @@ ServeDaemon::cmdStartController(const util::JsonValue &command)
           forecastFlag->boolean) ||
          (forecastFlag->isNumber() && forecastFlag->number != 0.0));
     forecast::ForecastConfig forecastConfig;
-    const auto zones = integerField(
-        command, "zones", 1, kMaxZones,
+    const auto zones = command.integerAt(
+        "zones", 1, kMaxZones,
         static_cast<int64_t>(forecastConfig.fallbackZoneCount));
     if (!zones)
         return rangeError("start-controller zones", 1, kMaxZones);
@@ -377,15 +365,14 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
             "inject-scenario needs a non-empty 'steps' array");
 
     sim::ScenarioOptions options;
-    const auto seed = integerField(
-        command, "seed", 0, kMaxExactInteger,
-        static_cast<int64_t>(config_.seed));
+    const auto seed = command.integerAt(
+        "seed", 0, kMaxExactInteger, static_cast<int64_t>(config_.seed));
     if (!seed)
         return rangeError("inject-scenario seed", 0, kMaxExactInteger);
     options.seed = static_cast<uint64_t>(*seed);
     const auto zones =
-        integerField(command, "zones", 1, kMaxZones,
-                     static_cast<int64_t>(options.zoneCount));
+        command.integerAt("zones", 1, kMaxZones,
+                          static_cast<int64_t>(options.zoneCount));
     if (!zones)
         return rangeError("inject-scenario zones", 1, kMaxZones);
     options.zoneCount = static_cast<size_t>(*zones);
@@ -415,8 +402,7 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
             else
                 scenario.recoverNodes(at, std::move(ids));
         } else if (kind == "fail-count" || kind == "rolling-fail") {
-            const auto count =
-                integerField(step, "count", 0, nodeCount, 1);
+            const auto count = step.integerAt("count", 0, nodeCount, 1);
             if (!count)
                 return rangeError(kind + " count", 0, nodeCount);
             if (kind == "fail-count")
@@ -429,13 +415,13 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
                 at, step.numberAt("fraction", 0.0));
         } else if (kind == "fail-zone") {
             const auto zone =
-                integerField(step, "zone", 0, *zones - 1, 0);
+                step.integerAt("zone", 0, *zones - 1, 0);
             if (!zone)
                 return rangeError("fail-zone zone", 0, *zones - 1);
             scenario.failZone(at, static_cast<size_t>(*zone));
         } else if (kind == "flap") {
             const auto node =
-                integerField(step, "node", 0, nodeCount - 1, 0);
+                step.integerAt("node", 0, nodeCount - 1, 0);
             if (!node)
                 return rangeError("flap node", 0, nodeCount - 1);
             scenario.flapKubelet(at, static_cast<sim::NodeId>(*node),
@@ -515,7 +501,7 @@ ServeDaemon::cmdPodVerb(const std::string &verb,
     const util::JsonValue *ms = command.field("ms");
     const auto appId = app ? app->integer(0, kMaxId) : std::nullopt;
     const auto msId = ms ? ms->integer(0, kMaxId) : std::nullopt;
-    const auto replica = integerField(command, "replica", 0, kMaxId, 0);
+    const auto replica = command.integerAt("replica", 0, kMaxId, 0);
     if (!appId || !msId || !replica)
         return rangeError(verb + " app, ms and replica", 0, kMaxId);
     // restart-pod's node is an optional pin; migrate-pod needs one.

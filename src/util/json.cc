@@ -62,6 +62,16 @@ JsonValue::integer(int64_t lo, int64_t hi) const
     return value;
 }
 
+std::optional<int64_t>
+JsonValue::integerAt(const std::string &dotted, int64_t lo, int64_t hi,
+                     int64_t fallback) const
+{
+    const JsonValue *node = path(dotted);
+    if (!node)
+        return fallback;
+    return node->integer(lo, hi);
+}
+
 namespace {
 
 class JsonParser

@@ -55,6 +55,14 @@ struct JsonValue
      * undefined double -> integer cast.
      */
     std::optional<int64_t> integer(int64_t lo, int64_t hi) const;
+
+    /**
+     * Field as an integer in [@p lo, @p hi] (see integer()), or
+     * @p fallback when the field is absent; nullopt when it is present
+     * but not such an integer.
+     */
+    std::optional<int64_t> integerAt(const std::string &dotted, int64_t lo,
+                                     int64_t hi, int64_t fallback) const;
 };
 
 /**

@@ -123,6 +123,84 @@ TEST(CaseJson, RejectsMalformedInput)
     EXPECT_FALSE(CheckCase::fromJson("", &error).has_value());
 }
 
+TEST(CaseJson, RejectsNonIntegralAndOutOfRangeIntegerFields)
+{
+    // One node, one app with one service; @p service_fields and
+    // @p app_fields splice extra members in.
+    const auto make = [](const std::string &service_fields,
+                         const std::string &app_fields = "",
+                         const std::string &tail = "") {
+        return "{\"name\": \"t\", \"nodes\": [8], " + tail +
+               "\"apps\": [{\"services\": [{\"cpu\": 1" +
+               service_fields + "}]" + app_fields + "}], \"steps\": []}";
+    };
+    std::string error;
+    ASSERT_TRUE(CheckCase::fromJson(make(""), &error).has_value()) << error;
+    ASSERT_TRUE(
+        CheckCase::fromJson(make(", \"replicas\": 1024, \"quorum\": 3"),
+                            &error)
+            .has_value())
+        << error;
+
+    const std::vector<std::string> fields = {
+        "criticality", "replicas",        "quorum",
+        "group",       "max_per_node",    "max_per_zone",
+        "min_zone_spread", "pdb_max_unavailable"};
+    for (const std::string &field : fields) {
+        for (const char *bad : {"1.5", "1e300", "-1e300", "-2", "2147483648",
+                                "\"3\""}) {
+            const std::string text =
+                make(", \"" + field + "\": " + std::string(bad));
+            error.clear();
+            EXPECT_FALSE(CheckCase::fromJson(text, &error).has_value())
+                << field << " = " << bad;
+            EXPECT_NE(error.find(field), std::string::npos) << error;
+        }
+    }
+    // Documented bounds: criticality in [1, 10], replicas in [1, 1024].
+    for (const char *bad : {", \"criticality\": 0", ", \"criticality\": 11",
+                            ", \"replicas\": 0", ", \"replicas\": 1025",
+                            ", \"replicas\": 2147483647",
+                            ", \"quorum\": 1025"}) {
+        EXPECT_FALSE(CheckCase::fromJson(make(bad), &error).has_value())
+            << bad;
+    }
+
+    // Placement-group id and caps, the app id, edges, zones and step
+    // nodes are checked the same way.
+    for (const char *group : {"{\"id\": 0.5}", "{\"id\": -1}",
+                              "{\"max_per_node\": 1e12}",
+                              "{\"max_per_zone\": -3}"}) {
+        EXPECT_FALSE(CheckCase::fromJson(
+                         make("", ", \"groups\": [" + std::string(group) +
+                                      "]"),
+                         &error)
+                         .has_value())
+            << group;
+    }
+    EXPECT_FALSE(
+        CheckCase::fromJson(make("", ", \"id\": 4294967296"), &error)
+            .has_value());
+    EXPECT_FALSE(
+        CheckCase::fromJson(make("", ", \"id\": 2.5"), &error).has_value());
+    EXPECT_FALSE(CheckCase::fromJson(make("", ", \"edges\": [[0, 0.5]]"),
+                                     &error)
+                     .has_value());
+    EXPECT_FALSE(CheckCase::fromJson(make("", "", "\"zones\": [1.5], "),
+                                     &error)
+                     .has_value());
+    const std::string step_case =
+        "{\"nodes\": [8], \"apps\": [], \"steps\": [{\"kind\": "
+        "\"fail\", \"nodes\": [";
+    EXPECT_TRUE(CheckCase::fromJson(step_case + "0]}]}", &error).has_value())
+        << error;
+    for (const char *bad : {"0.5", "-1", "1e300", "4294967296"}) {
+        EXPECT_FALSE(CheckCase::fromJson(step_case + bad + "]}]}", &error)
+                         .has_value())
+            << bad;
+    }
+}
+
 // --- Generator ---------------------------------------------------------
 
 TEST(Generator, IsDeterministic)

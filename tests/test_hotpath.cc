@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "adaptlab/environment.h"
 #include "core/packing.h"
 #include "core/planner.h"
@@ -143,4 +145,45 @@ TEST(HotPath, LongLivedSchemeReachesAllocationFloor)
         [&] { (void)scheme.apply(env.apps, failed); });
     EXPECT_LE(third, second);
     EXPECT_GT(second, 0u); // the result copies are real allocations
+}
+
+TEST(HotPath, ClusterStateCopyAllocatesPerNodeAndServiceNotPerPod)
+{
+    if (!util::allocCounterActive())
+        GTEST_SKIP() << "alloc counter not installed (sanitizer build)";
+
+    // A copy is one block per node pod list and per service slot table
+    // plus the fixed top-level vectors; the pod count must not show.
+    constexpr uint64_t kFixedBlocks = 5;
+    constexpr uint32_t kNodes = 64;
+    constexpr uint32_t kApps = 6;
+    constexpr uint32_t kMsPerApp = 5;
+    std::optional<uint64_t> previous;
+    for (const uint32_t replicas : {4u, 16u, 64u}) {
+        sim::ClusterState state;
+        for (uint32_t n = 0; n < kNodes; ++n)
+            state.addNode(1e6);
+        sim::NodeId next = 0;
+        for (uint32_t a = 0; a < kApps; ++a) {
+            for (uint32_t m = 0; m < kMsPerApp; ++m) {
+                for (uint32_t r = 0; r < replicas; ++r) {
+                    ASSERT_TRUE(state.place(sim::PodRef{a * 7, m * 3, r},
+                                            next, 1.0));
+                    next = (next + 1) % kNodes;
+                }
+            }
+        }
+        const uint64_t services = kApps * kMsPerApp;
+        const uint64_t copy = util::allocationsDuring([&] {
+            sim::ClusterState scratch = state;
+            (void)scratch;
+        });
+        EXPECT_LE(copy, kNodes + services + kFixedBlocks)
+            << replicas << " replicas per service, "
+            << state.assignment().size() << " pods";
+        // Every node holds pods in each run: 16x the pods, same blocks.
+        if (previous)
+            EXPECT_EQ(copy, *previous) << replicas << " replicas";
+        previous = copy;
+    }
 }

@@ -290,3 +290,35 @@ TEST(PerfDiff, CliExitCodes)
     EXPECT_EQ(tools::runPerfDiff({"--help"}, help, err), 0);
     EXPECT_NE(help.str().find("usage"), std::string::npos);
 }
+
+TEST(PerfDiff, GateValuesMustBeFiniteNonNegativeNumbers)
+{
+    const TempFile baseline("gate_base.json", report(0.2, 0.1, 0.4, 0.2));
+    const TempFile fresh("gate_new.json", report(0.05, 0.05, 0.1, 0.2));
+    std::ostringstream out;
+    std::ostringstream err;
+
+    // A gate value that is not a finite number >= 0 is a usage error,
+    // never a silent 0 (which would mean "no gate").
+    for (const char *flag : {"--require-speedup", "--max-ops-regression"}) {
+        for (const char *bad : {"zz", "", "2x", "-1", "-0.5", "nan", "inf",
+                                "1e999"}) {
+            std::ostringstream bad_err;
+            EXPECT_EQ(tools::runPerfDiff(
+                          {baseline.path(), baseline.path(), flag, bad}, out,
+                          bad_err),
+                      2)
+                << flag << " '" << bad << "'";
+            EXPECT_NE(bad_err.str().find("usage"), std::string::npos);
+        }
+    }
+    // Valid spellings still parse: 0 and exponent forms.
+    EXPECT_EQ(tools::runPerfDiff({baseline.path(), baseline.path(),
+                                  "--max-ops-regression", "0"},
+                                 out, err),
+              0);
+    EXPECT_EQ(tools::runPerfDiff({baseline.path(), fresh.path(),
+                                  "--require-speedup", "25e-1"},
+                                 out, err),
+              1);
+}

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "sim/cluster.h"
 #include "sim/event_queue.h"
 #include "sim/failure.h"
@@ -88,6 +94,227 @@ TEST(ClusterState, UtilizationExcludesFailedNodes)
     EXPECT_NEAR(cluster.utilization(), 0.25, 1e-9);
     cluster.failNode(1);
     EXPECT_NEAR(cluster.utilization(), 0.5, 1e-9);
+}
+
+namespace {
+
+/**
+ * Reference model of ClusterState's contract on ordered maps: the
+ * pod->node index and per-node pod lists iterate by PodRef, usage is
+ * accumulated with the same += / -= sequence.
+ */
+struct MapModel
+{
+    std::vector<double> capacity;
+    std::vector<bool> healthy;
+    std::vector<double> used;
+    std::vector<std::map<PodRef, double>> podsOn;
+    std::map<PodRef, NodeId> assignment;
+
+    void
+    addNode(double cap)
+    {
+        capacity.push_back(cap);
+        healthy.push_back(true);
+        used.push_back(0.0);
+        podsOn.emplace_back();
+    }
+
+    bool
+    place(const PodRef &pod, NodeId node, double cpu)
+    {
+        if (node >= capacity.size() || !healthy[node] ||
+            used[node] + cpu > capacity[node] + 1e-9 ||
+            assignment.count(pod))
+            return false;
+        assignment[pod] = node;
+        podsOn[node][pod] = cpu;
+        used[node] += cpu;
+        return true;
+    }
+
+    bool
+    evict(const PodRef &pod)
+    {
+        auto it = assignment.find(pod);
+        if (it == assignment.end())
+            return false;
+        const NodeId node = it->second;
+        used[node] -= podsOn[node].at(pod);
+        if (used[node] < 0.0)
+            used[node] = 0.0;
+        podsOn[node].erase(pod);
+        assignment.erase(it);
+        return true;
+    }
+
+    std::vector<PodRef>
+    failNode(NodeId node)
+    {
+        std::vector<PodRef> evicted;
+        if (!healthy[node])
+            return evicted;
+        healthy[node] = false;
+        for (const auto &[pod, cpu] : podsOn[node]) {
+            evicted.push_back(pod);
+            assignment.erase(pod);
+        }
+        podsOn[node].clear();
+        used[node] = 0.0;
+        return evicted;
+    }
+};
+
+void
+expectMatches(const ClusterState &state, const MapModel &model,
+              const std::vector<PodRef> &universe)
+{
+    const std::vector<std::pair<PodRef, NodeId>> want(
+        model.assignment.begin(), model.assignment.end());
+    std::vector<std::pair<PodRef, NodeId>> got;
+    for (const auto &[pod, node] : state.assignment())
+        got.emplace_back(pod, node);
+    ASSERT_EQ(got, want);
+    ASSERT_EQ(state.assignment().size(), want.size());
+    ASSERT_EQ(state.assignment().empty(), want.empty());
+    if (!want.empty())
+        ASSERT_EQ(*state.assignment().begin(), want.front());
+
+    ASSERT_EQ(state.nodeCount(), model.capacity.size());
+    for (NodeId n = 0; n < model.capacity.size(); ++n) {
+        using PodCpu = std::vector<std::pair<PodRef, double>>;
+        PodCpu on;
+        for (const auto &[pod, cpu] : state.podsOn(n))
+            on.emplace_back(pod, cpu);
+        const PodCpu want_on(model.podsOn[n].begin(), model.podsOn[n].end());
+        ASSERT_EQ(on, want_on) << "node " << n;
+        // Bit-equal: the same += / -= sequence reaches used_.
+        ASSERT_EQ(state.used(n), model.used[n]) << "node " << n;
+        ASSERT_EQ(state.isHealthy(n), model.healthy[n]);
+        const double remaining =
+            model.healthy[n] ? model.capacity[n] - model.used[n] : 0.0;
+        ASSERT_EQ(state.remaining(n), remaining) << "node " << n;
+    }
+    for (const PodRef &pod : universe) {
+        auto it = model.assignment.find(pod);
+        const bool placed = it != model.assignment.end();
+        ASSERT_EQ(state.isActive(pod), placed);
+        ASSERT_EQ(state.nodeOf(pod),
+                  placed ? std::optional<NodeId>(it->second)
+                         : std::nullopt);
+        ASSERT_EQ(state.podCpu(pod),
+                  placed ? model.podsOn[it->second].at(pod) : 0.0);
+    }
+}
+
+} // namespace
+
+TEST(ClusterStateModel, RandomizedOpsMatchMapModel)
+{
+    // Sparse app ids (up to 1 << 30) and non-contiguous ms / replica
+    // ids: storage must not scale with id size, and every lookup must
+    // land on the right slot.
+    const std::vector<AppId> app_ids = {0, 3, 17, 1u << 30};
+    const std::vector<MsId> ms_ids = {0, 2, 7, 1000};
+    const std::vector<uint32_t> replica_ids = {0, 1, 5, 9, 40};
+    std::vector<PodRef> universe;
+    for (AppId a : app_ids) {
+        for (MsId m : ms_ids) {
+            for (uint32_t r : replica_ids)
+                universe.push_back(PodRef{a, m, r});
+        }
+    }
+
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        util::Rng rng(seed);
+        ClusterState state;
+        MapModel model;
+        const int nodes = 6;
+        for (int n = 0; n < nodes; ++n) {
+            const double cap = rng.uniform(6.0, 14.0);
+            state.addNode(cap);
+            model.addNode(cap);
+        }
+        // Snapshots taken along the way; each must stay equal to its
+        // own model after the live state moves on.
+        std::vector<std::pair<ClusterState, MapModel>> snapshots;
+        ClusterState reassigned;
+        reassigned.addNode(1.0);
+        reassigned.place(PodRef{9, 9, 9}, 0, 0.5);
+
+        for (int step = 0; step < 1500; ++step) {
+            const int op = static_cast<int>(rng.uniformInt(0, 99));
+            const PodRef pod = universe[static_cast<size_t>(
+                rng.uniformInt(0, static_cast<int64_t>(universe.size()) - 1))];
+            const NodeId node =
+                static_cast<NodeId>(rng.uniformInt(0, nodes - 1));
+            if (op < 50) {
+                const double cpu = rng.uniform(0.1, 2.5);
+                ASSERT_EQ(state.place(pod, node, cpu),
+                          model.place(pod, node, cpu))
+                    << "seed " << seed << " step " << step;
+            } else if (op < 80) {
+                ASSERT_EQ(state.evict(pod), model.evict(pod));
+            } else if (op < 84) {
+                ASSERT_EQ(state.failNode(node), model.failNode(node));
+            } else if (op < 90) {
+                state.restoreNode(node);
+                model.healthy[node] = true;
+            } else if (op < 94) {
+                const double cap = rng.uniform(2.0, 16.0);
+                state.setNodeCapacity(node, cap);
+                model.capacity[node] = std::max(cap, model.used[node]);
+            } else if (op < 97) {
+                snapshots.emplace_back(state, model);
+            } else {
+                // Copy-assign over a state with other content.
+                reassigned = state;
+                expectMatches(reassigned, model, universe);
+                ASSERT_TRUE(reassigned.assignment() == state.assignment());
+            }
+            expectMatches(state, model, universe);
+        }
+
+        for (const auto &[snap, snap_model] : snapshots) {
+            expectMatches(snap, snap_model, universe);
+            // == is equality of the (pod, node) pairs, whatever the
+            // slot tables' history.
+            EXPECT_EQ(snap.assignment() == state.assignment(),
+                      snap_model.assignment == model.assignment);
+            EXPECT_EQ(snap.assignment() != state.assignment(),
+                      snap_model.assignment != model.assignment);
+        }
+
+        // A state rebuilt in reverse order from the model's pairs is
+        // equal to the live one although its tables grew differently.
+        ClusterState rebuilt;
+        for (int n = 0; n < nodes; ++n)
+            rebuilt.addNode(1e9);
+        for (auto it = model.assignment.rbegin();
+             it != model.assignment.rend(); ++it)
+            ASSERT_TRUE(rebuilt.place(it->first, it->second, 1.0));
+        EXPECT_TRUE(rebuilt.assignment() == state.assignment());
+        if (!model.assignment.empty()) {
+            rebuilt.evict(model.assignment.begin()->first);
+            EXPECT_TRUE(rebuilt.assignment() != state.assignment());
+        }
+    }
+}
+
+TEST(ClusterStateModel, FailNodeEvictsInPodRefOrder)
+{
+    ClusterState state;
+    const NodeId n = state.addNode(100.0);
+    const std::vector<PodRef> pods = {{1u << 30, 0, 3}, {2, 5, 0},
+                                      {2, 0, 7},        {0, 9, 1},
+                                      {2, 0, 2},        {1u << 30, 0, 0}};
+    for (const PodRef &pod : pods)
+        ASSERT_TRUE(state.place(pod, n, 1.0));
+    std::vector<PodRef> sorted = pods;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(state.failNode(n), sorted);
+    EXPECT_TRUE(state.assignment().empty());
+    EXPECT_TRUE(state.podsOn(n).empty());
 }
 
 TEST(FailureInjector, HitsCapacityTarget)

@@ -1,6 +1,9 @@
 #include "perfdiff_lib.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <map>
@@ -138,6 +141,28 @@ formatRow(const char *cell, const char *base, const char *fresh,
     return buffer;
 }
 
+constexpr const char *kUsage =
+    "usage: perfdiff BASELINE.json NEW.json "
+    "[--require-speedup X] [--max-ops-regression F]\n"
+    "  X and F are finite numbers >= 0\n";
+
+/** Parse a gate value: the whole text must be a finite number >= 0.
+ * A typo must not silently read as 0, which means "no gate". */
+bool
+parseGate(const std::string &text, double &out)
+{
+    if (text.empty())
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text.c_str(), &end);
+    if (errno != 0 || end != text.c_str() + text.size() ||
+        !std::isfinite(value) || value < 0.0)
+        return false;
+    out = value;
+    return true;
+}
+
 } // namespace
 
 int
@@ -149,22 +174,25 @@ runPerfDiff(const std::vector<std::string> &args, std::ostream &out,
     double max_ops_regression = -1.0;
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        if (arg == "--require-speedup" && i + 1 < args.size()) {
-            require_speedup = std::atof(args[++i].c_str());
-        } else if (arg == "--max-ops-regression" &&
-                   i + 1 < args.size()) {
-            max_ops_regression = std::atof(args[++i].c_str());
+        if ((arg == "--require-speedup" || arg == "--max-ops-regression") &&
+            i + 1 < args.size()) {
+            double &gate = arg == "--require-speedup" ? require_speedup
+                                                      : max_ops_regression;
+            if (!parseGate(args[++i], gate)) {
+                err << "perfdiff: " << arg << " needs a finite number >= 0, "
+                    << "got '" << args[i] << "'\n"
+                    << kUsage;
+                return 2;
+            }
         } else if (arg == "--help" || arg == "-h") {
-            out << "usage: perfdiff BASELINE.json NEW.json "
-                   "[--require-speedup X] [--max-ops-regression F]\n";
+            out << kUsage;
             return 0;
         } else {
             files.push_back(arg);
         }
     }
     if (files.size() != 2) {
-        err << "usage: perfdiff BASELINE.json NEW.json "
-               "[--require-speedup X] [--max-ops-regression F]\n";
+        err << kUsage;
         return 2;
     }
 
