@@ -296,14 +296,6 @@ fail(std::string *error, const std::string &what)
 // JsonValue::integerAt, so a non-integral, non-finite or out-of-range
 // value is a parse error, never an undefined double -> int cast.
 
-/** Replicas per service. The generator emits at most 3; the cap keeps
- * a hostile case from asking the replica slot tables or the packer's
- * per-replica loop for billions of entries. Per-service counts that
- * measure replicas (quorum, caps, spread, PDB) share the bound. */
-constexpr int64_t kMaxReplicas = 1024;
-/** Group ids are matched by value and group caps are counts; neither
- * indexes anything, so they may span the whole non-negative int. */
-constexpr int64_t kMaxIntField = std::numeric_limits<int>::max();
 constexpr int64_t kMaxId32 = std::numeric_limits<uint32_t>::max();
 
 /** Integer field @p name of @p entry in [lo, hi] (or @p fallback when
@@ -354,19 +346,19 @@ parseApp(const JsonValue &node, size_t index, sim::Application &app,
         if (!readInteger(entry, "criticality", sim::kC1,
                          sim::kLowestCriticality, sim::kC1, ms.criticality,
                          error) ||
-            !readInteger(entry, "replicas", 1, kMaxReplicas, 1,
+            !readInteger(entry, "replicas", 1, sim::kMaxReplicas, 1,
                          ms.replicas, error) ||
-            !readInteger(entry, "quorum", 0, kMaxReplicas, 0, ms.quorum,
+            !readInteger(entry, "quorum", 0, sim::kMaxReplicas, 0, ms.quorum,
                          error) ||
-            !readInteger(entry, "group", -1, kMaxIntField, -1,
+            !readInteger(entry, "group", -1, sim::kMaxGroupField, -1,
                          ms.antiAffinityGroup, error) ||
-            !readInteger(entry, "max_per_node", 0, kMaxReplicas, 0,
+            !readInteger(entry, "max_per_node", 0, sim::kMaxReplicas, 0,
                          ms.maxPerNode, error) ||
-            !readInteger(entry, "max_per_zone", 0, kMaxReplicas, 0,
+            !readInteger(entry, "max_per_zone", 0, sim::kMaxReplicas, 0,
                          ms.maxPerZone, error) ||
-            !readInteger(entry, "min_zone_spread", 0, kMaxReplicas, 0,
+            !readInteger(entry, "min_zone_spread", 0, sim::kMaxReplicas, 0,
                          ms.minZoneSpread, error) ||
-            !readInteger(entry, "pdb_max_unavailable", -1, kMaxReplicas,
+            !readInteger(entry, "pdb_max_unavailable", -1, sim::kMaxReplicas,
                          -1, ms.pdbMaxUnavailable, error))
             return false;
         if (ms.cpu < 0.0)
@@ -380,11 +372,11 @@ parseApp(const JsonValue &node, size_t index, sim::Application &app,
             if (!entry.isObject())
                 return fail(error, "group entry is not an object");
             sim::PlacementGroup group;
-            if (!readInteger(entry, "id", 0, kMaxIntField, 0, group.id,
+            if (!readInteger(entry, "id", 0, sim::kMaxGroupField, 0, group.id,
                              error) ||
-                !readInteger(entry, "max_per_node", 0, kMaxIntField, 0,
+                !readInteger(entry, "max_per_node", 0, sim::kMaxGroupField, 0,
                              group.maxPerNode, error) ||
-                !readInteger(entry, "max_per_zone", 0, kMaxIntField, 0,
+                !readInteger(entry, "max_per_zone", 0, sim::kMaxGroupField, 0,
                              group.maxPerZone, error))
                 return false;
             app.placementGroups.push_back(group);

@@ -88,7 +88,7 @@ struct GeneratorOptions
 
     /** Probability that the failure step is zone-local: every failed
      * node shares one residue id % zoneFailureZones — the blast shape
-     * of a zone kill, which the incremental replanner reconciles as a
+     * of a zone kill, which a warm replan reconciles as a
      * bounded diff. */
     double zoneFailureProbability = 0.3;
     /** Zone count used to pick zone-local failure targets. */

@@ -123,8 +123,8 @@ PhoenixController::poll()
             record.planSeconds = 0.0;
             applyResult(*warm, record);
         } else {
-            // Blast-radius hint for the scheme (advisory: incremental
-            // replanning reconciles against the full observed state).
+            // Blast-radius hint for the scheme (advisory: a warm
+            // replan reconciles against the full observed state).
             scheme_->noteDirtyNodes(cluster_.drainDirtyNodes());
             const SchemeResult result = scheme_->apply(
                 cluster_.apps(), cluster_.observedState());

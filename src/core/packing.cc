@@ -90,10 +90,9 @@ class ReferenceBook
     void
     init(const std::vector<sim::Application> &apps,
          const ClusterState &state, const GlobalRank &ranked,
-         const PackingOptions &options, OpCounters &ops)
+         OpCounters &ops)
     {
-        (void)apps;
-        (void)options; // the reference oracle is always from-scratch
+        (void)apps; // the reference oracle is always from-scratch
         ops_ = &ops;
         byRemaining_ = util::SortedKv<double, NodeId>();
         rankIndex_.clear();
@@ -223,7 +222,9 @@ class ReferenceBook
  * with no tree walks or hashing. The capacity index is a BucketedKv
  * whose iteration order is byte-identical to the reference multiset.
  * Every buffer persists across runs; steady-state packing allocates
- * nothing for bookkeeping.
+ * nothing for bookkeeping. The capacity index carries over too: the
+ * next run reconciles it against the observed state with an exact
+ * per-node diff, or rebuilds it cold when the node count changed.
  */
 class FlatBook
 {
@@ -231,7 +232,7 @@ class FlatBook
     void
     init(const std::vector<sim::Application> &apps,
          const ClusterState &state, const GlobalRank &ranked,
-         const PackingOptions &options, OpCounters &ops)
+         OpCounters &ops)
     {
         ops_ = &ops;
 
@@ -277,16 +278,14 @@ class FlatBook
                 overflowActive_[pod] = node;
         }
 
-        // Capacity index: reconcile the previous epoch's index when
-        // incremental and the topology still matches, else build cold.
+        // Capacity index: reconcile the previous run's index when the
+        // node count still matches, else build cold.
         const size_t node_count = state.nodeCount();
-        const bool warm = options.incremental && warmValid_ &&
-                          warmNodeCount_ == node_count;
-        if (warm)
+        if (warmValid_ && warmNodeCount_ == node_count)
             reconcileIndex(state);
         else
-            coldBuildIndex(state, options);
-        warmValid_ = options.incremental;
+            coldBuildIndex(state);
+        warmValid_ = true;
         warmNodeCount_ = node_count;
 
         parked_.assign(state.nodeCount(), 0.0);
@@ -298,8 +297,7 @@ class FlatBook
     {
         index_.erase(before, node);
         index_.insert(after, node);
-        if (trackMirror_)
-            bookKey_[node] = after;
+        bookKey_[node] = after;
         ops_->kvOps += 2;
     }
 
@@ -463,8 +461,7 @@ class FlatBook
     /** From-scratch capacity index: configure + insert every healthy
      * node. */
     void
-    coldBuildIndex(const ClusterState &state,
-                   const PackingOptions &options)
+    coldBuildIndex(const ClusterState &state)
     {
         const size_t node_count = state.nodeCount();
         double max_capacity = 0.0;
@@ -475,11 +472,8 @@ class FlatBook
             healthy += state.isHealthy(id) ? 1 : 0;
         }
 
-        trackMirror_ = options.incremental;
-        if (trackMirror_) {
-            inBook_.assign(node_count, 0);
-            bookKey_.assign(node_count, 0.0);
-        }
+        inBook_.assign(node_count, 0);
+        bookKey_.assign(node_count, 0.0);
 
         index_.configure(max_capacity, healthy + 1);
         for (NodeId id = 0; id < node_count; ++id) {
@@ -487,10 +481,8 @@ class FlatBook
                 continue;
             const double key = state.remaining(id);
             index_.insert(key, id);
-            if (trackMirror_) {
-                inBook_[id] = 1;
-                bookKey_[id] = key;
-            }
+            inBook_[id] = 1;
+            bookKey_[id] = key;
         }
         // One op per indexed node.
         ops_->kvOps += healthy;
@@ -558,9 +550,8 @@ class FlatBook
 
     /** Capacity index: remaining capacity -> healthy node. */
     util::BucketedKv<NodeId> index_;
-    /** Incremental-replan mirror: whether a node is in the index and
-     * under which exact key. */
-    bool trackMirror_ = false;
+    /** Warm-replan mirror: whether a node is in the index and under
+     * which exact key. */
     bool warmValid_ = false;
     size_t warmNodeCount_ = 0;
     std::vector<uint8_t> inBook_;
@@ -598,7 +589,7 @@ class Packer
     {
         result_.state = current;
         const auto started = std::chrono::steady_clock::now();
-        book_.init(apps, result_.state, ranked, options_, result_.ops);
+        book_.init(apps, result_.state, ranked, result_.ops);
         c_.vacancy.build(apps, result_.state);
         result_.reconcileSeconds =
             std::chrono::duration<double>(

@@ -54,8 +54,9 @@ struct PackResult
      * packing decision; excluded from canonical metric strings). */
     OpCounters ops;
     /** Wall-clock seconds spent (re)building the capacity index and
-     * bookkeeping before the packing passes — the part incremental
-     * mode turns from O(cluster) into O(changed nodes). */
+     * bookkeeping before the packing passes — the part a long-lived
+     * scheduler's warm reconcile turns from O(cluster) into O(changed
+     * nodes). */
     double reconcileSeconds = 0.0;
 };
 
@@ -84,22 +85,10 @@ struct PackingOptions
      * drive the identical packing algorithm and emit bit-identical
      * action sequences — test_properties asserts it — so this exists
      * as the oracle for that suite and as an A/B lever for the
-     * benches.
+     * benches. The reference bookkeeping never reuses work between
+     * calls.
      */
     bool referenceImpl = false;
-
-    /**
-     * Incremental replan: keep the capacity index alive across pack()
-     * calls and reconcile it against the observed state with an exact
-     * per-node diff (erase/insert only nodes whose remaining capacity
-     * or health changed) instead of rebuilding it from scratch. The
-     * reconciled index holds exactly the same (key, node) set a fresh
-     * build would, so outputs are bit-identical; only kvOps and
-     * reconcile time shrink — proportional to the blast radius, not
-     * the cluster. Falls back to a cold build whenever the node count
-     * changes. Ignored under referenceImpl.
-     */
-    bool incremental = false;
 };
 
 /**
@@ -108,6 +97,16 @@ struct PackingOptions
  * that is recycled across calls, so a long-lived scheduler (one
  * controller epoch after another) allocates nothing for bookkeeping in
  * steady state.
+ *
+ * The arena includes the capacity index. A later pack() reconciles it
+ * against the observed state with an exact per-node diff (erase/insert
+ * only the nodes whose remaining capacity or health changed) instead
+ * of rebuilding it. The reconciled index holds exactly the (key, node)
+ * set a fresh build would, so outputs are bit-identical to a fresh
+ * scheduler's; only kvOps and reconcile time shrink, in proportion to
+ * the blast radius rather than the cluster. A changed node count
+ * falls back to a cold build. The reference bookkeeping always builds
+ * cold.
  */
 class PackingScheduler
 {

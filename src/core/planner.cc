@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "lp/waterfill.h"
+#include "util/fnv.h"
 
 namespace phoenix::core {
 
@@ -25,21 +26,6 @@ bitsOf(double value)
     std::memcpy(&bits, &value, sizeof(bits));
     return bits;
 }
-
-/** FNV-1a accumulator for the incremental-replan fingerprints. */
-struct Fnv
-{
-    uint64_t h = 1469598103934665603ULL;
-
-    void
-    mix(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-};
 
 } // namespace
 
@@ -115,11 +101,11 @@ FairObjective::cacheKey(uint64_t &out) const
     // key() depends only on the water-fill shares, so a digest of the
     // shares (bitwise, computed by begin() from demands + capacity)
     // pins everything the ranking can observe.
-    Fnv fnv;
+    util::Fnv1a fnv;
     fnv.mix(fairShare_.size());
     for (double share : fairShare_)
-        fnv.mix(bitsOf(share));
-    out = fnv.h;
+        fnv.mixDouble(share);
+    out = fnv.hash;
     return true;
 }
 
@@ -161,14 +147,14 @@ WeightedFairObjective::key(const Application &app,
 bool
 WeightedFairObjective::cacheKey(uint64_t &out) const
 {
-    Fnv fnv;
+    util::Fnv1a fnv;
     fnv.mix(fairShare_.size());
     for (double share : fairShare_)
-        fnv.mix(bitsOf(share));
+        fnv.mixDouble(share);
     fnv.mix(weights_.size());
     for (double weight : weights_)
-        fnv.mix(bitsOf(weight));
-    out = fnv.h;
+        fnv.mixDouble(weight);
+    out = fnv.hash;
     return true;
 }
 
@@ -427,41 +413,6 @@ Planner::priorityEstimator(const std::vector<Application> &apps,
     return ranks;
 }
 
-uint64_t
-Planner::fingerprintApps(const std::vector<Application> &apps) const
-{
-    // Everything the per-app ordering AND the grant sequence can
-    // observe: ids, tags, per-replica sizes, replica/quorum counts,
-    // pricing, and the dependency edges. A matching fingerprint means
-    // both the cached appRank and the cached needs sequence are
-    // computed from identical inputs.
-    Fnv fnv;
-    fnv.mix(apps.size());
-    for (const Application &app : apps) {
-        fnv.mix(app.id);
-        fnv.mix(app.phoenixEnabled ? 1 : 0);
-        fnv.mix(bitsOf(app.pricePerUnit));
-        fnv.mix(app.services.size());
-        for (const Microservice &ms : app.services) {
-            fnv.mix(ms.id);
-            fnv.mix(bitsOf(ms.cpu));
-            fnv.mix(static_cast<uint64_t>(ms.criticality));
-            fnv.mix(static_cast<uint64_t>(ms.replicas));
-            fnv.mix(static_cast<uint64_t>(ms.quorum));
-        }
-        fnv.mix(app.hasDependencyGraph ? 1 : 0);
-        if (app.hasDependencyGraph) {
-            for (MsId m = 0; m < app.services.size(); ++m) {
-                const auto &succ = app.dag.successors(m);
-                fnv.mix(succ.size());
-                for (MsId child : succ)
-                    fnv.mix(child);
-            }
-        }
-    }
-    return fnv.h;
-}
-
 void
 Planner::priorityEstimatorInto(const std::vector<Application> &apps,
                                AppRank &out) const
@@ -469,15 +420,14 @@ Planner::priorityEstimatorInto(const std::vector<Application> &apps,
     ops_.reset();
     lastEstimatorReused_ = false;
 
-    const bool incremental =
-        options_.incremental && !options_.referenceImpl;
+    // Reuse applies only to the planner-owned buffer (the planInto()
+    // path): a caller-supplied buffer may hold anything. The reference
+    // implementation never reuses, because it is the oracle.
+    const bool warm = !options_.referenceImpl && &out == &scratch_.appRank;
     uint64_t fingerprint = 0;
-    if (incremental) {
-        fingerprint = fingerprintApps(apps);
-        // Reuse applies only to the planner-owned buffer (the
-        // planInto() path): a caller-supplied buffer may hold anything.
-        if (estimatorCacheValid_ && fingerprint == appsFingerprint_ &&
-            &out == &scratch_.appRank) {
+    if (warm) {
+        fingerprint = sim::fingerprintApps(apps);
+        if (estimatorCacheValid_ && fingerprint == appsFingerprint_) {
             lastEstimatorReused_ = true;
             return;
         }
@@ -502,9 +452,9 @@ Planner::priorityEstimatorInto(const std::vector<Application> &apps,
         }
     }
 
-    if (incremental) {
+    if (warm) {
         appsFingerprint_ = fingerprint;
-        estimatorCacheValid_ = &out == &scratch_.appRank;
+        estimatorCacheValid_ = true;
     }
 }
 
@@ -528,8 +478,8 @@ Planner::globalRankInto(const std::vector<Application> &apps,
     lastRankReused_ = false;
     objective.begin(apps, capacity);
 
-    // Incremental replan: reuse the cached ranked list when nothing it
-    // can observe changed. Requirements, in order: the planner-owned
+    // Warm replan: reuse the cached ranked list when nothing it can
+    // observe changed. Requirements, in order: the planner-owned
     // appRank (so the cache provably describes these apps), an
     // estimator cache hit this plan (same app fingerprint), a matching
     // objective digest, and a capacity for which the grant walk is
@@ -538,8 +488,8 @@ Planner::globalRankInto(const std::vector<Application> &apps,
     // against the new capacity (with no rejection, every head is
     // granted and the pop order never reads `remaining`, so the
     // emitted sequence is capacity-independent).
-    const bool track = options_.incremental && !options_.referenceImpl &&
-                       &app_rank == &scratch_.appRank;
+    const bool track =
+        !options_.referenceImpl && &app_rank == &scratch_.appRank;
     if (track && rankCacheValid_ && lastEstimatorReused_) {
         uint64_t objective_key = 0;
         if (objective.cacheKey(objective_key) &&

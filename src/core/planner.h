@@ -185,23 +185,10 @@ struct PlannerOptions
      * priority queues, per-visit child sorts) instead of the flat
      * CSR + indexed-heap hot path. Both produce bit-identical
      * rankings — test_properties asserts it — so this exists as the
-     * oracle for that suite and as an A/B lever for the benches.
+     * oracle for that suite and as an A/B lever for the benches. The
+     * reference planner never reuses work between calls.
      */
     bool referenceImpl = false;
-
-    /**
-     * Incremental replan: keep the per-app rankings and the global
-     * ranked list alive across planInto() calls and reuse them when
-     * provably unchanged — the app-structure fingerprint must match
-     * for the estimator, and additionally the objective's cacheKey()
-     * and a capacity check (bitwise-equal capacity, or a
-     * rejection-free replay of the cached grant sequence against the
-     * new capacity) for the global ranking. Any mismatch falls back
-     * to the full recompute, so outputs are bit-identical to
-     * from-scratch on every input; only the op counters shrink.
-     * Ignored under referenceImpl.
-     */
-    bool incremental = false;
 };
 
 /**
@@ -241,6 +228,16 @@ effectiveCriticality(const sim::Application &app,
 /**
  * Phoenix planner: produces the per-app ranking and the global ranked
  * list of containers to activate within the available capacity.
+ *
+ * A planner keeps its per-app rankings and its global ranked list
+ * between planInto() calls and reuses them only when provably
+ * unchanged: the app fingerprint (sim::fingerprintApps) must match for
+ * the estimator, and additionally the objective's cacheKey() and a
+ * capacity check (bitwise-equal capacity, or a rejection-free replay
+ * of the cached grant sequence against the new capacity) for the
+ * global ranking. Any mismatch falls back to the full recompute, so
+ * outputs are bit-identical to a fresh planner's on every input; only
+ * the op counters shrink. The reference implementation never reuses.
  */
 class Planner
 {
@@ -290,14 +287,11 @@ class Planner
      * globalRank()/priorityEstimatorInto() call. */
     const OpCounters &lastOps() const { return ops_; }
 
-    /** Whether the last globalRankInto() reused the incremental
-     * cache (options.incremental only). */
+    /** Whether the last globalRankInto() reused the cached ranking
+     * of an earlier call (never under referenceImpl). */
     bool lastIncrementalReuse() const { return lastRankReused_; }
 
   private:
-    uint64_t fingerprintApps(
-        const std::vector<sim::Application> &apps) const;
-
     PlannerOptions options_;
     // plan() stays const for callers; the scratch arena and counters
     // are implementation state (the planner is externally
@@ -305,8 +299,8 @@ class Planner
     mutable PlanScratch scratch_;
     mutable OpCounters ops_;
 
-    // Incremental-replan cache (options.incremental): the estimator
-    // result lives in scratch_.appRank keyed by the app fingerprint;
+    // Warm-replan cache, kept by every flat planner: the estimator
+    // result lives in scratch_.appRank keyed by sim::fingerprintApps;
     // the global ranking keeps its own copy plus the grant-sequence
     // replay data.
     mutable bool estimatorCacheValid_ = false;

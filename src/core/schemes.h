@@ -77,9 +77,9 @@ class ResilienceScheme
      * Advisory hint delivered by the controller before apply(): the
      * nodes whose observed state changed since the previous epoch
      * (kube::KubeCluster::drainDirtyNodes). Correctness never depends
-     * on it — incremental replanning reconciles against the full
-     * observed state — so the default ignores it; PhoenixScheme uses
-     * it to surface blast-radius observability (core.dirty_nodes).
+     * on it — a warm replan reconciles against the full observed
+     * state — so the default ignores it; PhoenixScheme uses it to
+     * surface blast-radius observability (core.dirty_nodes).
      */
     virtual void
     noteDirtyNodes(const std::vector<sim::NodeId> &nodes)
@@ -91,7 +91,12 @@ class ResilienceScheme
 /** Which operator objective a Phoenix/LP scheme optimizes. */
 enum class Objective { Fair, Cost };
 
-/** Phoenix: criticality-aware planner + three-stage packing. */
+/**
+ * Phoenix: criticality-aware planner + three-stage packing. One
+ * instance serves every epoch of a controller; each apply() reuses
+ * what the previous ones computed where it can prove the inputs
+ * unchanged, and its outputs equal a fresh instance's on every input.
+ */
 class PhoenixScheme : public ResilienceScheme
 {
   public:
@@ -115,8 +120,9 @@ class PhoenixScheme : public ResilienceScheme
     Objective objective_;
     // Long-lived so their scratch arenas survive across apply() calls
     // (one controller epoch after another): steady-state planning and
-    // packing allocate nothing for bookkeeping, and the incremental
-    // caches (options.incremental) persist between epochs.
+    // packing allocate nothing for bookkeeping, and the warm-replan
+    // caches persist between epochs, reused only where provably
+    // unchanged (see Planner and PackingScheduler).
     Planner planner_;
     PackingScheduler packer_;
     /** Observability handles (obs::Registry; additive, excluded from

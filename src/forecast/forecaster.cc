@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
+
+#include "util/fnv.h"
 
 namespace phoenix::forecast {
 
@@ -12,25 +13,6 @@ using sim::ClusterState;
 namespace {
 
 constexpr double kEps = 1e-12;
-
-/** Order-sensitive FNV-1a, the repo's fingerprint idiom. */
-struct Fnv
-{
-    uint64_t hash = 1469598103934665603ull;
-    void
-    mix(uint64_t v)
-    {
-        hash ^= v;
-        hash *= 1099511628211ull;
-    }
-    void
-    mixDouble(double v)
-    {
-        uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    }
-};
 
 } // namespace
 
@@ -78,7 +60,7 @@ Forecaster::verifyScheme()
 uint64_t
 Forecaster::fingerprintState(const ClusterState &state)
 {
-    Fnv fnv;
+    util::Fnv1a fnv;
     fnv.mix(state.nodeCount());
     for (sim::NodeId id = 0; id < state.nodeCount(); ++id) {
         const sim::Node &node = state.node(id);
@@ -93,51 +75,6 @@ Forecaster::fingerprintState(const ClusterState &state)
         fnv.mix(pod.replica);
         fnv.mix(node);
         fnv.mixDouble(state.podCpu(pod));
-    }
-    return fnv.hash;
-}
-
-uint64_t
-Forecaster::fingerprintApps(const std::vector<sim::Application> &apps)
-{
-    Fnv fnv;
-    fnv.mix(apps.size());
-    for (const sim::Application &app : apps) {
-        fnv.mix(app.id);
-        fnv.mix(app.phoenixEnabled ? 1 : 0);
-        fnv.mixDouble(app.pricePerUnit);
-        fnv.mix(app.hasDependencyGraph ? 1 : 0);
-        fnv.mix(app.services.size());
-        for (const sim::Microservice &ms : app.services) {
-            fnv.mix(ms.id);
-            fnv.mixDouble(ms.cpu);
-            fnv.mix(static_cast<uint64_t>(ms.criticality));
-            fnv.mix(static_cast<uint64_t>(ms.replicas));
-            fnv.mix(static_cast<uint64_t>(ms.quorum));
-            fnv.mix(static_cast<uint64_t>(
-                static_cast<int64_t>(ms.antiAffinityGroup)));
-            fnv.mix(static_cast<uint64_t>(ms.maxPerNode));
-            fnv.mix(static_cast<uint64_t>(ms.maxPerZone));
-            fnv.mix(static_cast<uint64_t>(ms.minZoneSpread));
-            fnv.mix(static_cast<uint64_t>(
-                static_cast<int64_t>(ms.pdbMaxUnavailable)));
-        }
-        fnv.mix(app.placementGroups.size());
-        for (const sim::PlacementGroup &group : app.placementGroups) {
-            fnv.mix(static_cast<uint64_t>(static_cast<int64_t>(group.id)));
-            fnv.mix(static_cast<uint64_t>(group.maxPerNode));
-            fnv.mix(static_cast<uint64_t>(group.maxPerZone));
-        }
-        if (app.hasDependencyGraph) {
-            fnv.mix(app.dag.nodeCount());
-            for (size_t u = 0; u < app.dag.nodeCount(); ++u) {
-                const auto &succ = app.dag.successors(
-                    static_cast<graph::NodeId>(u));
-                fnv.mix(succ.size());
-                for (auto v : succ)
-                    fnv.mix(static_cast<uint64_t>(v));
-            }
-        }
     }
     return fnv.hash;
 }
@@ -172,7 +109,7 @@ Forecaster::stage(Staged &s, const ClusterState &projected,
                   uint64_t observedFp)
 {
     const uint64_t fp = fingerprintState(projected);
-    const uint64_t appsFp = fingerprintApps(cluster_.apps());
+    const uint64_t appsFp = sim::fingerprintApps(cluster_.apps());
     if (s.valid && s.stateFp == fp && s.appsFp == appsFp)
         return; // staged plan still matches the projection
     if (fp == observedFp) {
@@ -301,7 +238,7 @@ Forecaster::matchWarm(const std::vector<sim::Application> &apps,
                       const ClusterState &observed)
 {
     const uint64_t observedFp = fingerprintState(observed);
-    const uint64_t appsFp = fingerprintApps(apps);
+    const uint64_t appsFp = sim::fingerprintApps(apps);
 
     auto tryEntry = [&](Staged &s) -> const core::SchemeResult * {
         if (!s.valid || s.stateFp != observedFp || s.appsFp != appsFp)

@@ -23,8 +23,8 @@
  * a staged plan whose projected-state fingerprint equals the observed
  * state's applies in O(actions) — and is byte-identical to what a cold
  * replan would produce, because every scheme is a pure function of
- * (apps, state) (the incremental caches are proven bit-identical to
- * from-scratch). Any mismatch falls back cold and counts
+ * (apps, state) (a long-lived scheme's reuse caches are proven
+ * bit-identical to from-scratch). Any mismatch falls back cold and counts
  * forecast.stale_plans. Optionally (verifyWarmPlans) every warm hit is
  * re-derived cold on a private scheme and byte-compared before use.
  *
@@ -154,9 +154,6 @@ class Forecaster final : public core::ForecastHook
     /** FNV-1a over the full planner-visible cluster state: per-node
      * (healthy, capacity, zone) + the pod assignment with sizes. */
     static uint64_t fingerprintState(const sim::ClusterState &state);
-    /** FNV-1a over the planner-visible application structure. */
-    static uint64_t
-    fingerprintApps(const std::vector<sim::Application> &apps);
     /** Byte-equality over the deterministic parts of a scheme result
      * (plan, actions, placement); wall-clock and op counts exempt. */
     static bool sameSchemeResult(const core::SchemeResult &a,

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
+#include "util/fnv.h"
 #include "util/log.h"
 
 namespace phoenix::kube {
@@ -961,19 +961,12 @@ KubeCluster::observedReadyCapacity() const
 uint64_t
 KubeCluster::readyFingerprint() const
 {
-    uint64_t hash = 1469598103934665603ull; // FNV-1a offset basis
-    const auto mix = [&hash](uint64_t v) {
-        hash ^= v;
-        hash *= 1099511628211ull;
-    };
+    util::Fnv1a fnv;
     for (const NodeRec &rec : nodes_) {
-        mix(rec.ready ? 0x9e3779b97f4a7c15ull : 0x2545f4914f6cdd1dull);
-        const double effective = rec.capacity * rec.degradeFactor;
-        uint64_t bits = 0;
-        std::memcpy(&bits, &effective, sizeof(bits));
-        mix(bits);
+        fnv.mix(rec.ready ? 0x9e3779b97f4a7c15ull : 0x2545f4914f6cdd1dull);
+        fnv.mixDouble(rec.capacity * rec.degradeFactor);
     }
-    return hash;
+    return fnv.hash;
 }
 
 uint64_t

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <set>
@@ -66,6 +68,35 @@ parseList(const std::string &value)
             items.push_back(cleaned);
     }
     return items;
+}
+
+/** Largest node count one topology node spec may declare: the largest
+ * cluster the repo plans (bench_fig8b's 1,000,000-node point). */
+constexpr int64_t kMaxNodeCount = 1000000;
+
+/** @p value as one whole integer token in [lo, hi]: "2.9", "1e3",
+ * "7x" and out-of-range values are rejected, never truncated. */
+std::optional<int64_t>
+parseInteger(const std::string &value, int64_t lo, int64_t hi)
+{
+    int64_t out = 0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    if (ec != std::errc() || ptr != end || out < lo || out > hi)
+        return std::nullopt;
+    return out;
+}
+
+/** @p value as one whole finite number token. */
+std::optional<double>
+parseNumber(const std::string &value)
+{
+    double out = 0.0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    if (ec != std::errc() || ptr != end || !std::isfinite(out))
+        return std::nullopt;
+    return out;
 }
 
 /** One service entry as raw fields; declaration lines remembered so
@@ -193,10 +224,6 @@ parseManifestStructured(const std::string &text)
                     return makeError(spec.declaredAt, "cpus",
                                      "node spec needs a positive cpus");
                 }
-                if (spec.count < 1) {
-                    return makeError(spec.declaredAt, "count",
-                                     "node count must be >= 1");
-                }
                 NodeSpec out;
                 out.count = spec.count;
                 out.cpus = spec.cpus;
@@ -249,7 +276,7 @@ parseManifestStructured(const std::string &text)
         }
         app.placementGroups.clear();
         for (const RawGroup &group : groups) {
-            if (!group.sawId || group.id < 0) {
+            if (!group.sawId) {
                 return makeError(group.declaredAt, "id",
                                  "group needs a non-negative id");
             }
@@ -346,6 +373,36 @@ parseManifestStructured(const std::string &text)
     std::istringstream in(text);
     std::string raw;
     size_t line_no = 0;
+
+    // Numeric readers for the current line's @p key: store the parsed
+    // value, or reject the document naming the field and the value.
+    const auto read_int = [&](const std::string &key,
+                              const std::string &value, int64_t lo,
+                              int64_t hi, int &out) {
+        const auto parsed = parseInteger(value, lo, hi);
+        if (!parsed) {
+            reject(makeError(line_no, key,
+                             key + " must be an integer in [" +
+                                 std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "], got '" +
+                                 value + "'"));
+            return false;
+        }
+        out = static_cast<int>(*parsed);
+        return true;
+    };
+    const auto read_number = [&](const std::string &key,
+                                 const std::string &value, double &out) {
+        const auto parsed = parseNumber(value);
+        if (!parsed) {
+            reject(makeError(line_no, key,
+                             key + " must be a finite number, got '" +
+                                 value + "'"));
+            return false;
+        }
+        out = *parsed;
+        return true;
+    };
     while (std::getline(in, raw)) {
         ++line_no;
         const std::string trimmed = strip(raw);
@@ -393,32 +450,27 @@ parseManifestStructured(const std::string &text)
             }
             if (poisoned)
                 continue;
-            try {
-                if (have_topo) {
-                    if (key == "zones") {
-                        topo.zones = parseList(value);
-                    } else if (key == "nodes") {
-                        section = Section::Nodes;
-                    } else {
-                        reject(makeError(
-                            line_no, key,
-                            "unknown topology key '" + key + "'"));
-                    }
-                } else if (key == "price") {
-                    app.pricePerUnit = std::stod(value);
-                } else if (key == "phoenix") {
-                    app.phoenixEnabled = value == "enabled";
-                } else if (key == "services") {
-                    section = Section::Services;
-                } else if (key == "groups") {
-                    section = Section::Groups;
+            if (have_topo) {
+                if (key == "zones") {
+                    topo.zones = parseList(value);
+                } else if (key == "nodes") {
+                    section = Section::Nodes;
                 } else {
-                    reject(makeError(line_no, key,
-                                     "unknown key '" + key + "'"));
+                    reject(makeError(
+                        line_no, key,
+                        "unknown topology key '" + key + "'"));
                 }
-            } catch (const std::exception &) {
+            } else if (key == "price") {
+                read_number(key, value, app.pricePerUnit);
+            } else if (key == "phoenix") {
+                app.phoenixEnabled = value == "enabled";
+            } else if (key == "services") {
+                section = Section::Services;
+            } else if (key == "groups") {
+                section = Section::Groups;
+            } else {
                 reject(makeError(line_no, key,
-                                 "bad numeric value '" + value + "'"));
+                                 "unknown key '" + key + "'"));
             }
             continue;
         }
@@ -468,102 +520,65 @@ parseManifestStructured(const std::string &text)
             reject(makeError(line_no, "", "expected 'key: value'"));
             continue;
         }
-        try {
-            if (section == Section::Groups) {
-                RawGroup &group = groups.back();
-                if (key == "id") {
-                    group.id = std::stoi(value);
-                    group.sawId = true;
-                } else if (key == "maxPerNode") {
-                    group.maxPerNode = std::stoi(value);
-                } else if (key == "maxPerZone") {
-                    group.maxPerZone = std::stoi(value);
-                } else {
-                    reject(makeError(line_no, key,
-                                     "unknown group key '" + key +
-                                         "'"));
-                }
-                continue;
-            }
-            if (section == Section::Nodes) {
-                RawNodeSpec &spec = topo_nodes.back();
-                if (key == "count") {
-                    spec.count = std::stoi(value);
-                } else if (key == "cpus") {
-                    spec.cpus = std::stod(value);
-                    spec.sawCpus = true;
-                } else if (key == "zone") {
-                    spec.zone = value;
-                    spec.zoneAt = line_no;
-                } else {
-                    reject(makeError(line_no, key,
-                                     "unknown node key '" + key +
-                                         "'"));
-                }
-                continue;
-            }
-            RawService &svc = services.back();
-            if (key == "name") {
-                svc.name = value;
-            } else if (key == "cpu") {
-                svc.cpu = std::stod(value);
-                svc.sawCpu = true;
-            } else if (key == "criticality") {
-                svc.criticality = std::stoi(value);
-                if (svc.criticality < 1) {
-                    reject(makeError(line_no, key,
-                                     "criticality must be >= 1"));
-                }
-            } else if (key == "replicas") {
-                svc.replicas = std::stoi(value);
-                if (svc.replicas < 1) {
-                    reject(makeError(line_no, key,
-                                     "replicas must be >= 1"));
-                }
-            } else if (key == "quorum") {
-                svc.quorum = std::stoi(value);
-            } else if (key == "upstream") {
-                svc.upstream = parseList(value);
-            } else if (key == "group") {
-                svc.group = std::stoi(value);
-                if (svc.group < 0) {
-                    reject(makeError(line_no, key,
-                                     "group must be >= 0"));
-                }
+        if (section == Section::Groups) {
+            RawGroup &group = groups.back();
+            if (key == "id") {
+                group.sawId =
+                    read_int(key, value, 0, sim::kMaxGroupField, group.id);
             } else if (key == "maxPerNode") {
-                svc.maxPerNode = std::stoi(value);
-                if (svc.maxPerNode < 0) {
-                    reject(makeError(line_no, key,
-                                     "maxPerNode must be >= 0"));
-                }
+                read_int(key, value, 0, sim::kMaxGroupField, group.maxPerNode);
             } else if (key == "maxPerZone") {
-                svc.maxPerZone = std::stoi(value);
-                if (svc.maxPerZone < 0) {
-                    reject(makeError(line_no, key,
-                                     "maxPerZone must be >= 0"));
-                }
-            } else if (key == "minZoneSpread") {
-                svc.minZoneSpread = std::stoi(value);
-                svc.spreadAt = line_no;
-                if (svc.minZoneSpread < 0) {
-                    reject(makeError(line_no, key,
-                                     "minZoneSpread must be >= 0"));
-                }
-            } else if (key == "pdbMaxUnavailable") {
-                svc.pdbMaxUnavailable = std::stoi(value);
-                svc.pdbAt = line_no;
-                if (svc.pdbMaxUnavailable < 0) {
-                    reject(makeError(
-                        line_no, key,
-                        "pdbMaxUnavailable must be >= 0"));
-                }
+                read_int(key, value, 0, sim::kMaxGroupField, group.maxPerZone);
             } else {
                 reject(makeError(line_no, key,
-                                 "unknown service key '" + key + "'"));
+                                 "unknown group key '" + key + "'"));
             }
-        } catch (const std::exception &) {
+            continue;
+        }
+        if (section == Section::Nodes) {
+            RawNodeSpec &spec = topo_nodes.back();
+            if (key == "count") {
+                read_int(key, value, 1, kMaxNodeCount, spec.count);
+            } else if (key == "cpus") {
+                spec.sawCpus = read_number(key, value, spec.cpus);
+            } else if (key == "zone") {
+                spec.zone = value;
+                spec.zoneAt = line_no;
+            } else {
+                reject(makeError(line_no, key,
+                                 "unknown node key '" + key + "'"));
+            }
+            continue;
+        }
+        RawService &svc = services.back();
+        if (key == "name") {
+            svc.name = value;
+        } else if (key == "cpu") {
+            svc.sawCpu = read_number(key, value, svc.cpu);
+        } else if (key == "criticality") {
+            read_int(key, value, sim::kC1, sim::kLowestCriticality,
+                     svc.criticality);
+        } else if (key == "replicas") {
+            read_int(key, value, 1, sim::kMaxReplicas, svc.replicas);
+        } else if (key == "quorum") {
+            read_int(key, value, 0, sim::kMaxReplicas, svc.quorum);
+        } else if (key == "upstream") {
+            svc.upstream = parseList(value);
+        } else if (key == "group") {
+            read_int(key, value, 0, sim::kMaxGroupField, svc.group);
+        } else if (key == "maxPerNode") {
+            read_int(key, value, 0, sim::kMaxReplicas, svc.maxPerNode);
+        } else if (key == "maxPerZone") {
+            read_int(key, value, 0, sim::kMaxReplicas, svc.maxPerZone);
+        } else if (key == "minZoneSpread") {
+            read_int(key, value, 0, sim::kMaxReplicas, svc.minZoneSpread);
+            svc.spreadAt = line_no;
+        } else if (key == "pdbMaxUnavailable") {
+            read_int(key, value, 0, sim::kMaxReplicas, svc.pdbMaxUnavailable);
+            svc.pdbAt = line_no;
+        } else {
             reject(makeError(line_no, key,
-                             "bad numeric value '" + value + "'"));
+                             "unknown service key '" + key + "'"));
         }
     }
 

@@ -10,6 +10,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,19 @@ using Criticality = int;
 constexpr Criticality kC1 = 1;
 constexpr Criticality kDefaultCriticality = kC1;
 constexpr Criticality kLowestCriticality = 10;
+
+/**
+ * Largest replica count a spec codec (kube manifests, check cases)
+ * accepts for one service: it keeps a hostile spec from asking the
+ * replica slot tables or the packer's per-replica loop for billions of
+ * entries. Per-service counts that measure replicas (quorum, caps,
+ * spread, PDB) share the bound.
+ */
+constexpr int kMaxReplicas = 1024;
+/** Largest anti-affinity group id or group cap a spec codec accepts:
+ * ids are matched by value and caps are counts, so neither indexes
+ * anything and both may span the whole non-negative int. */
+constexpr int kMaxGroupField = std::numeric_limits<int>::max();
 
 /** One containerized microservice of an application. */
 struct Microservice
@@ -194,6 +208,16 @@ struct Application
         return total;
     }
 };
+
+/**
+ * Fingerprint of everything in an application set that planning,
+ * packing or forecasting can observe: ids, prices, subscription,
+ * every per-service size, tag, replica/quorum count and placement
+ * policy, the placement groups, and the dependency edges. A
+ * long-lived planner or forecaster reuses work computed for an app set
+ * only while this value is unchanged.
+ */
+uint64_t fingerprintApps(const std::vector<Application> &apps);
 
 /**
  * Identifies one replica pod of one microservice cluster-wide. The

@@ -213,8 +213,7 @@ TEST(Forecast, FingerprintDistinguishesProjectionFromObserved)
     // not come true must not match the observed state.
     EXPECT_NE(Forecaster::fingerprintState(post),
               Forecaster::fingerprintState(projection));
-    EXPECT_EQ(Forecaster::fingerprintApps(c.apps),
-              Forecaster::fingerprintApps(c.apps));
+    EXPECT_EQ(sim::fingerprintApps(c.apps), sim::fingerprintApps(c.apps));
 }
 
 // --- End-to-end through the recovery harness -------------------------

@@ -1,10 +1,10 @@
 /**
  * @file
- * Delta-bookkeeping tests for incremental replanning: a long-lived
- * PhoenixScheme with the incremental options enabled, fed by
- * KubeCluster's dirty-node tracking across realistic failure
- * histories, must produce output bit-identical to a from-scratch
- * scheme applied to the same observed state at every epoch.
+ * Delta-bookkeeping tests for warm replanning: a long-lived
+ * PhoenixScheme, fed by KubeCluster's dirty-node tracking across
+ * realistic failure histories, must produce output bit-identical to a
+ * from-scratch scheme applied to the same observed state at every
+ * epoch.
  *
  * Four histories exercise the reconcile paths:
  *  - a kubelet flap inside the grace period (observed state never
@@ -17,12 +17,18 @@
  *  - the cluster growing between epochs (the node count changes, so
  *    the carried-over index must be rebuilt cold, then reconciled
  *    warm again on the next epoch).
+ *
+ * A closed-loop case checks that production takes the warm path: the
+ * scheme a PhoenixController owns reuses its caches after a node
+ * failure, with outputs equal to a fresh scheme's.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/controller.h"
 #include "core/schemes.h"
 #include "kube/kube.h"
+#include "obs/registry.h"
 
 using namespace phoenix;
 using namespace phoenix::core;
@@ -78,11 +84,25 @@ expectSameActions(const std::vector<Action> &got,
     }
 }
 
+/** Bit-identity of a long-lived scheme's outputs with a fresh one's
+ * (op counters and timings may differ). */
+void
+expectSameOutputs(const SchemeResult &inc, const SchemeResult &ref,
+                  const char *when)
+{
+    ASSERT_EQ(inc.plan, ref.plan) << when;
+    expectSameActions(inc.pack.actions, ref.pack.actions, when);
+    EXPECT_EQ(inc.pack.state.assignment(), ref.pack.state.assignment())
+        << when;
+    EXPECT_EQ(inc.pack.placed, ref.pack.placed) << when;
+    EXPECT_EQ(inc.pack.complete, ref.pack.complete) << when;
+}
+
 /**
  * One controller epoch: drain the cluster's dirty-node hints into the
- * warm (incremental) scheme, apply it to the observed state, and
- * assert its outputs are bit-identical to a cold from-scratch scheme
- * on the same state.
+ * long-lived scheme, apply it to the observed state, and assert its
+ * outputs are bit-identical to a cold from-scratch scheme on the same
+ * state.
  */
 void
 epochIdentity(PhoenixScheme &warm, KubeCluster &cluster,
@@ -94,32 +114,67 @@ epochIdentity(PhoenixScheme &warm, KubeCluster &cluster,
 
     const SchemeResult inc = warm.apply(apps, state);
     PhoenixScheme fresh(objective);
-    const SchemeResult ref = fresh.apply(apps, state);
-
-    ASSERT_EQ(inc.plan, ref.plan) << when;
-    expectSameActions(inc.pack.actions, ref.pack.actions, when);
-    EXPECT_EQ(inc.pack.state.assignment(), ref.pack.state.assignment())
-        << when;
-    EXPECT_EQ(inc.pack.placed, ref.pack.placed) << when;
-    EXPECT_EQ(inc.pack.complete, ref.pack.complete) << when;
+    expectSameOutputs(inc, fresh.apply(apps, state), when);
 }
 
-PhoenixScheme
-makeWarm(Objective objective)
+/**
+ * The scheme a controller owns in the closed-loop test: a long-lived
+ * PhoenixScheme(Cost) that records, per epoch, whether the apply
+ * reused the planner's caches (its core.replans_incremental delta),
+ * its result, and a fresh scheme's result on the same observed state.
+ */
+class EpochRecorder : public ResilienceScheme
 {
-    PlannerOptions planner_opts;
-    planner_opts.incremental = true;
-    PackingOptions packing_opts;
-    packing_opts.incremental = true;
-    return PhoenixScheme(objective, planner_opts, packing_opts);
-}
+  public:
+    struct Epoch
+    {
+        bool reused = false;
+        SchemeResult result;
+        SchemeResult fresh;
+    };
+
+    std::string name() const override { return inner_.name(); }
+
+    void
+    noteDirtyNodes(const std::vector<sim::NodeId> &nodes) override
+    {
+        inner_.noteDirtyNodes(nodes);
+    }
+
+    SchemeResult
+    apply(const std::vector<sim::Application> &apps,
+          const sim::ClusterState &current) override
+    {
+        Epoch epoch;
+        const obs::ThreadMetricDelta delta;
+        epoch.result = inner_.apply(apps, current);
+        for (const auto &[name, value] : delta.finish())
+            epoch.reused |= name == "core.replans_incremental" && value > 0;
+        PhoenixScheme fresh(Objective::Cost);
+        epoch.fresh = fresh.apply(apps, current);
+        epochs.push_back(epoch);
+        return epoch.result;
+    }
+
+    std::vector<Epoch> epochs;
+
+  private:
+    PhoenixScheme inner_{Objective::Cost};
+};
+
+/** Metrics on for one test (they default off), restored on exit. */
+struct MetricsScope
+{
+    MetricsScope() { obs::setMetricsEnabled(true); }
+    ~MetricsScope() { obs::setMetricsEnabled(false); }
+};
 
 } // namespace
 
 TEST(Incremental, NodeFlapInsideGracePeriod)
 {
     Fixture f;
-    PhoenixScheme warm = makeWarm(Objective::Fair);
+    PhoenixScheme warm(Objective::Fair);
     epochIdentity(warm, f.cluster, Objective::Fair, "baseline");
 
     // Kubelet flaps but recovers before the 100 s grace period: the
@@ -141,7 +196,7 @@ TEST(Incremental, NodeFlapInsideGracePeriod)
 TEST(Incremental, ZoneFailPartialRecoverRefail)
 {
     Fixture f;
-    PhoenixScheme warm = makeWarm(Objective::Cost);
+    PhoenixScheme warm(Objective::Cost);
     epochIdentity(warm, f.cluster, Objective::Cost, "baseline");
 
     // "Zone" = nodes 0..3. Fail the whole zone.
@@ -166,9 +221,9 @@ TEST(Incremental, ConstrainedZoneFailRecoverDoesNotDrift)
 {
     // Explicit zones + placement policies: a full zone failing and
     // recovering must not drift constrained placements between the
-    // warm (incremental) scheme and a cold one — the
-    // vacancy allocator rebuilds per epoch, but the capacity index it
-    // filters is the carried-over incremental one.
+    // long-lived scheme and a cold one — the vacancy allocator
+    // rebuilds per epoch, but the capacity index it filters is the
+    // carried-over one.
     sim::EventQueue events;
     KubeCluster cluster(events);
     for (int n = 0; n < 12; ++n)
@@ -195,7 +250,7 @@ TEST(Incremental, ConstrainedZoneFailRecoverDoesNotDrift)
     cluster.addApplication(makeApp("free", 6, 1.0, 2.0));
     events.runUntil(120.0);
 
-    PhoenixScheme warm = makeWarm(Objective::Cost);
+    PhoenixScheme warm(Objective::Cost);
     epochIdentity(warm, cluster, Objective::Cost, "baseline");
 
     // Zone 0 = nodes 0,3,6,9. Fail the whole failure domain.
@@ -216,7 +271,7 @@ TEST(Incremental, ConstrainedZoneFailRecoverDoesNotDrift)
 TEST(Incremental, RecoveryAfterPodsRehomed)
 {
     Fixture f;
-    PhoenixScheme warm = makeWarm(Objective::Fair);
+    PhoenixScheme warm(Objective::Fair);
     epochIdentity(warm, f.cluster, Objective::Fair, "baseline");
 
     // Fail a node and give the default scheduler time to re-home its
@@ -237,7 +292,7 @@ TEST(Incremental, RecoveryAfterPodsRehomed)
 TEST(Incremental, NodeCountChangeRebuildsIndex)
 {
     Fixture f;
-    PhoenixScheme warm = makeWarm(Objective::Cost);
+    PhoenixScheme warm(Objective::Cost);
     epochIdentity(warm, f.cluster, Objective::Cost, "baseline");
 
     // Knock a node out so the grown cluster has pods to re-place.
@@ -256,4 +311,40 @@ TEST(Incremental, NodeCountChangeRebuildsIndex)
     f.cluster.stopKubelet(13);
     f.events.runUntil(f.events.now() + 150.0);
     epochIdentity(warm, f.cluster, Objective::Cost, "refail after grow");
+}
+
+TEST(Incremental, ControllerReplansWarmAfterNodeFailure)
+{
+    const MetricsScope metrics;
+    Fixture f;
+    auto owned = std::make_unique<EpochRecorder>();
+    EpochRecorder &recorder = *owned;
+    PhoenixController controller(f.events, f.cluster, std::move(owned));
+
+    // The first poll plans cold: nothing is cached yet.
+    f.events.runUntil(f.events.now() + 30.0);
+    ASSERT_EQ(recorder.epochs.size(), 1u);
+    EXPECT_FALSE(recorder.epochs[0].reused);
+
+    // A node fails; the survivors still hold every container, so the
+    // next epoch replays the cached grant sequence against the lower
+    // capacity instead of re-ranking.
+    f.cluster.stopKubelet(3);
+    f.events.runUntil(f.events.now() + 150.0);
+    ASSERT_GE(recorder.epochs.size(), 2u);
+    EXPECT_TRUE(recorder.epochs[1].reused);
+
+    // And again when the node comes back.
+    const size_t before_recovery = recorder.epochs.size();
+    f.cluster.startKubelet(3);
+    f.events.runUntil(f.events.now() + 60.0);
+    ASSERT_GT(recorder.epochs.size(), before_recovery);
+    EXPECT_TRUE(recorder.epochs[before_recovery].reused);
+
+    EXPECT_EQ(controller.history().size(), recorder.epochs.size());
+    for (size_t i = 0; i < recorder.epochs.size(); ++i) {
+        const std::string when = "epoch " + std::to_string(i);
+        expectSameOutputs(recorder.epochs[i].result,
+                          recorder.epochs[i].fresh, when.c_str());
+    }
 }

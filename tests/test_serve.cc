@@ -501,6 +501,38 @@ TEST(ServeDaemon, IngestManifestSurfacesStructuredErrors)
     EXPECT_EQ(errors->items[0].stringAt("field"), "cpu");
 }
 
+TEST(ServeDaemon, IngestManifestRejectsNonIntegralCounts)
+{
+    // A fractional replica count and an exponent criticality must be
+    // rejected whole, not truncated to 2 and 1.
+    ServeDaemon daemon;
+    const std::string manifest = "application: frac\\n"
+                                 "services:\\n"
+                                 "  - name: web\\n"
+                                 "    cpu: 2.0\\n"
+                                 "    replicas: 2.9\\n"
+                                 "---\\n"
+                                 "application: exp\\n"
+                                 "services:\\n"
+                                 "  - name: api\\n"
+                                 "    cpu: 1.0\\n"
+                                 "    criticality: 1e3\\n";
+    auto parsed = reply(
+        daemon, std::string(R"({"cmd":"ingest-manifest","text":")") +
+                    manifest + R"("})");
+    EXPECT_FALSE(okOf(parsed));
+    const util::JsonValue *apps = parsed.field("apps");
+    ASSERT_NE(apps, nullptr);
+    EXPECT_TRUE(apps->items.empty());
+    const util::JsonValue *errors = parsed.field("errors");
+    ASSERT_NE(errors, nullptr);
+    ASSERT_EQ(errors->items.size(), 2u);
+    EXPECT_NEAR(errors->items[0].numberAt("line"), 5.0, 1e-12);
+    EXPECT_EQ(errors->items[0].stringAt("field"), "replicas");
+    EXPECT_NEAR(errors->items[1].numberAt("line"), 11.0, 1e-12);
+    EXPECT_EQ(errors->items[1].stringAt("field"), "criticality");
+}
+
 TEST(ServeDaemon, RejectsMalformedCommands)
 {
     ServeDaemon daemon;

@@ -411,6 +411,58 @@ TEST(Metrics, DependencyCheck)
     EXPECT_TRUE(respectsDependencies(apps, active));
 }
 
+TEST(AppFingerprint, CoversEveryPlannerVisibleField)
+{
+    // Warm planners and forecast-staged plans are reused only while
+    // this fingerprint is unchanged, so a change to any field planning,
+    // packing or forecasting reads must move it.
+    std::vector<Application> base = {taggedApp(0, {1, 2, 3}),
+                                      taggedApp(1, {2, 2})};
+    base[0].dag = graph::DiGraph(3);
+    base[0].dag.addEdge(0, 1);
+    base[0].hasDependencyGraph = true;
+    const uint64_t fp = fingerprintApps(base);
+    EXPECT_EQ(fp, fingerprintApps(base));
+
+    using Edit = void (*)(std::vector<Application> &);
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        {"app id", [](auto &a) { a[1].id = 7; }},
+        {"subscription", [](auto &a) { a[0].phoenixEnabled = false; }},
+        {"price", [](auto &a) { a[0].pricePerUnit = 2.0; }},
+        {"dag flag", [](auto &a) { a[0].hasDependencyGraph = false; }},
+        {"dag edge", [](auto &a) { a[0].dag.addEdge(1, 2); }},
+        {"service count", [](auto &a) { a[1].services.pop_back(); }},
+        {"ms id", [](auto &a) { a[0].services[2].id = 9; }},
+        {"cpu", [](auto &a) { a[0].services[0].cpu = 1.5; }},
+        {"criticality", [](auto &a) { a[0].services[1].criticality = 4; }},
+        {"replicas", [](auto &a) { a[0].services[1].replicas = 3; }},
+        {"quorum", [](auto &a) { a[0].services[1].quorum = 1; }},
+        {"group", [](auto &a) { a[0].services[1].antiAffinityGroup = 0; }},
+        {"max per node", [](auto &a) { a[0].services[1].maxPerNode = 1; }},
+        {"max per zone", [](auto &a) { a[0].services[1].maxPerZone = 1; }},
+        {"zone spread", [](auto &a) { a[0].services[1].minZoneSpread = 2; }},
+        {"pdb", [](auto &a) { a[0].services[1].pdbMaxUnavailable = 1; }},
+        {"placement group",
+         [](auto &a) { a[0].placementGroups.push_back({0, 1, 0}); }},
+        {"app order", [](auto &a) { std::swap(a[0], a[1]); }},
+    };
+    for (const auto &[what, edit] : edits) {
+        std::vector<Application> changed = base;
+        edit(changed);
+        EXPECT_NE(fingerprintApps(changed), fp) << what;
+    }
+
+    std::vector<Application> grouped = base;
+    grouped[0].placementGroups.push_back({0, 1, 0});
+    for (auto edit : {+[](PlacementGroup &g) { g.id = 1; },
+                      +[](PlacementGroup &g) { g.maxPerNode = 2; },
+                      +[](PlacementGroup &g) { g.maxPerZone = 1; }}) {
+        std::vector<Application> changed = grouped;
+        edit(changed[0].placementGroups[0]);
+        EXPECT_NE(fingerprintApps(changed), fingerprintApps(grouped));
+    }
+}
+
 TEST(EventQueue, OrderingAndTime)
 {
     EventQueue queue;

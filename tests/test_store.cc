@@ -289,6 +289,81 @@ TEST(Manifest, StructuredErrorsCarryLineAndField)
               std::string::npos);
 }
 
+TEST(Manifest, StructuredRejectsMalformedServiceNumbers)
+{
+    // Each value below is a prefix-parse trap (2.9, 1e3, 2x), out of
+    // the check-case codec's bounds, or not a finite number: each must
+    // reject its document with an error naming the field and quoting
+    // the value.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"replicas", "2.9"},         {"replicas", "5000000000"},
+        {"replicas", "1025"},        {"replicas", "0"},
+        {"criticality", "1e3"},      {"criticality", "11"},
+        {"criticality", "0"},        {"quorum", "-1"},
+        {"quorum", "2x"},            {"maxPerNode", "1.5"},
+        {"maxPerZone", "99999"},     {"minZoneSpread", "2.0"},
+        {"pdbMaxUnavailable", "1e1"}, {"group", "-1"},
+        {"cpu", "nan"},              {"cpu", "inf"},
+        {"cpu", "1.5x"},             {"cpu", ""},
+    };
+    for (const auto &[field, value] : cases) {
+        const std::string text =
+            "application: x\n"                            // line 1
+            "services:\n"                                 // line 2
+            "  - name: a\n" +                             // line 3
+            std::string(field == "cpu" ? "" : "    cpu: 1\n") +
+            "    " + field + ": " + value + "\n";
+        const size_t line = field == "cpu" ? 4 : 5;
+        const kube::ManifestParse parsed =
+            kube::parseManifestStructured(text);
+        const std::string what = field + ": " + value;
+        EXPECT_TRUE(parsed.apps.empty()) << what;
+        ASSERT_EQ(parsed.errors.size(), 1u) << what;
+        EXPECT_EQ(parsed.errors[0].line, line) << what;
+        EXPECT_EQ(parsed.errors[0].field, field) << what;
+        EXPECT_NE(parsed.errors[0].message.find("'" + value + "'"),
+                  std::string::npos)
+            << what << ": " << parsed.errors[0].message;
+    }
+}
+
+TEST(Manifest, StructuredRejectsMalformedGroupPriceAndNodeNumbers)
+{
+    struct Case
+    {
+        std::string text;
+        size_t line;
+        std::string field;
+    };
+    const std::string services = "services:\n  - name: a\n    cpu: 1\n";
+    const std::vector<Case> cases = {
+        {"application: x\ngroups:\n  - id: 1.5\n" + services, 3, "id"},
+        {"application: x\ngroups:\n  - id: 1\n    maxPerNode: -2\n" +
+             services,
+         4, "maxPerNode"},
+        {"application: x\nprice: inf\n" + services, 2, "price"},
+        {"application: x\nprice: 2.5.1\n" + services, 2, "price"},
+        {"topology: t\nzones: [a]\nnodes:\n  - count: 2.5\n"
+         "    cpus: 8\n",
+         4, "count"},
+        {"topology: t\nzones: [a]\nnodes:\n  - count: 2000000\n"
+         "    cpus: 8\n",
+         4, "count"},
+        {"topology: t\nzones: [a]\nnodes:\n  - count: 2\n"
+         "    cpus: nan\n",
+         5, "cpus"},
+    };
+    for (const Case &c : cases) {
+        const kube::ManifestParse parsed =
+            kube::parseManifestStructured(c.text);
+        EXPECT_TRUE(parsed.apps.empty()) << c.text;
+        EXPECT_TRUE(parsed.topology.nodes.empty()) << c.text;
+        ASSERT_EQ(parsed.errors.size(), 1u) << c.text;
+        EXPECT_EQ(parsed.errors[0].line, c.line) << c.text;
+        EXPECT_EQ(parsed.errors[0].field, c.field) << c.text;
+    }
+}
+
 TEST(Manifest, StructuredDuplicateServicePointsAtEntry)
 {
     // The duplicate-name error blames the second declaration line,
