@@ -31,7 +31,14 @@ step() { printf '\n==> %s\n' "$*"; }
 
 step "tier-1 configure + build ($BUILD)"
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD" -j "$JOBS"
+# The tree builds warning-free, so any compiler warning fails the gate
+# instead of scrolling past. Only recompiled files print warnings: a
+# clean tree checks them all.
+cmake --build "$BUILD" -j "$JOBS" 2>&1 | tee "$BUILD/build.log"
+if grep -n 'warning:' "$BUILD/build.log"; then
+  echo "ci.sh: the tier-1 build emitted compiler warnings (above)" >&2
+  exit 1
+fi
 
 # Gates are selected by ctest label, never by name: every smoke gate
 # carries the `smoke` label and every opt-in gate the `optin` label

@@ -161,6 +161,18 @@ class ReferenceBook
         return committed_.count(pod) > 0;
     }
 
+    /** Whether @p node may hold an active, uncommitted pod: a scan. */
+    bool
+    mayHoldUncommitted(const ClusterState &state, NodeId node) const
+    {
+        for (const auto &[pod, cpu] : state.podsOn(node)) {
+            (void)cpu;
+            if (!committed(pod))
+                return true;
+        }
+        return false;
+    }
+
     bool
     isActive(const ClusterState &state, const PodRef &pod) const
     {
@@ -277,6 +289,11 @@ class FlatBook
             else
                 overflowActive_[pod] = node;
         }
+        // A new run forgets which nodes were all-committed.
+        if (++run_ == 0 || allCommittedRun_.size() != state.nodeCount()) {
+            allCommittedRun_.assign(state.nodeCount(), 0);
+            run_ = 1;
+        }
 
         // Capacity index: reconcile the previous run's index when the
         // node count still matches, else build cold.
@@ -350,10 +367,16 @@ class FlatBook
     uncommit(const PodRef &pod)
     {
         const size_t idx = podIdx(pod);
-        if (idx != kUnranked)
+        if (idx != kUnranked) {
             committedBits_[idx] = 0;
-        else
+            if (activeNode_[idx] != kNoNode)
+                allCommittedRun_[activeNode_[idx]] = 0;
+        } else {
             overflowCommitted_.erase(pod);
+            if (auto it = overflowActive_.find(pod);
+                it != overflowActive_.end())
+                allCommittedRun_[it->second] = 0;
+        }
     }
 
     bool
@@ -363,6 +386,25 @@ class FlatBook
         if (idx != kUnranked)
             return committedBits_[idx] != 0;
         return overflowCommitted_.count(pod) > 0;
+    }
+
+    /** Whether @p node may hold an active, uncommitted pod. A scan
+     * that finds none is remembered for the rest of the run, until a
+     * pod lands on the node or one of its pods is uncommitted: only
+     * those can add an uncommitted pod. Commits and evictions only
+     * remove them, so they cost nothing here. */
+    bool
+    mayHoldUncommitted(const ClusterState &state, NodeId node)
+    {
+        if (allCommittedRun_[node] == run_)
+            return false;
+        for (const auto &[pod, cpu] : state.podsOn(node)) {
+            (void)cpu;
+            if (!committed(pod))
+                return true;
+        }
+        allCommittedRun_[node] = run_;
+        return false;
     }
 
     bool
@@ -397,6 +439,7 @@ class FlatBook
             activeNode_[idx] = node;
         else
             overflowActive_[pod] = node;
+        allCommittedRun_[node] = 0;
     }
 
     void
@@ -562,6 +605,11 @@ class FlatBook
     std::vector<size_t> rankMs_;  //!< msIdx -> rank (kUnranked if none)
     std::vector<uint8_t> committedBits_; //!< podIdx -> committed
     std::vector<NodeId> activeNode_;     //!< podIdx -> node or kNoNode
+    /** node -> the run (run_) in which a scan found every active pod
+     * on it committed; reset to 0 when a pod lands on the node or one
+     * of its pods is uncommitted. */
+    std::vector<uint32_t> allCommittedRun_;
+    uint32_t run_ = 0;
     std::vector<double> parked_;         //!< node -> hypothetical usage
     std::vector<NodeId> parkedTouched_;
     std::vector<size_t> sortCounts_;
@@ -850,11 +898,14 @@ class Packer
             return candidates.size() < kMaxCandidates;
         });
 
+        // The index's largest key bounds every migration target; it
+        // may only be stale-high, never low (see planMigrations).
+        double max_key = candidates.empty() ? 0.0 : candidates.front().first;
         for (const auto &[remaining, node] : candidates) {
             (void)remaining;
             if (!c_.vacancy.canPlace(incoming, node))
                 continue;
-            if (!planMigrations(node, size))
+            if (!planMigrations(node, size, max_key))
                 continue;
             for (const Move &move : c_.moves) {
                 evictPod(move.pod, ActionKind::Migrate);
@@ -863,6 +914,8 @@ class Packer
             }
             if (result_.state.remaining(node) + 1e-9 >= size)
                 return node;
+            // The moves raised this node's key and lowered only others'.
+            max_key = std::max(max_key, result_.state.remaining(node));
         }
         return std::nullopt;
     }
@@ -880,9 +933,14 @@ class Packer
      * capacity index (no O(nodes) copy): an index entry's effective
      * free space is its key minus whatever this plan has already
      * parked on that node.
+     *
+     * A pod with cpu above @p max_key (at least the index's largest
+     * key) has no entry to walk: it would count no probe and move
+     * nowhere. Such pods are the tail of the ascending sort, so they
+     * are left out of it, with identical moves and counts.
      */
     bool
-    planMigrations(NodeId node, double size)
+    planMigrations(NodeId node, double size, double max_key)
     {
         // Clearing a node by relocating many containers is excessive
         // churn; give up beyond this.
@@ -900,7 +958,7 @@ class Packer
             // Constrained pods are pinned during repack: the parked
             // deltas track capacity only, not hypothetical vacancy
             // state, so moving them could break their own caps.
-            if (c_.vacancy.constrained(pod))
+            if (c_.vacancy.constrained(pod) || cpu > max_key)
                 continue;
             movable.emplace_back(cpu, pod);
         }
@@ -967,6 +1025,12 @@ class Packer
         best_list.clear();
 
         for (const auto &[free0, node] : candidates) {
+            // Without an uncommitted pod the node has no victims, so
+            // it wins only if it already fits: skip it. The 1e-9
+            // slack keeps the zero-victim win just below size.
+            if (free0 + 1e-9 < size &&
+                !book_.mayHoldUncommitted(result_.state, node))
+                continue;
             if (!c_.vacancy.canPlace(incoming, node))
                 continue;
             double free = free0;

@@ -315,29 +315,51 @@ ServeDaemon::cmdServeStart(const util::JsonValue &command)
         return errorReply(
             "nothing to serve (load-testbed or ingest-manifest first)");
 
-    const double duration = command.numberAt("duration", 600.0);
-    if (duration <= 0.0)
-        return errorReply("serve-start needs duration > 0");
-
+    // The window tick re-arms at now + window, so a window must be
+    // positive for time to advance; the arrival rate bounds the work
+    // one advance can cause.
+    const auto duration = command.realAt("duration", kMinWindowSeconds,
+                                         kMaxServeSeconds, 600.0);
+    if (!duration) {
+        return errorReply("serve-start needs " +
+                          util::jsonNumber(kMinWindowSeconds) +
+                          " <= duration <= " +
+                          util::jsonNumber(kMaxServeSeconds));
+    }
     FrontendConfig frontendConfig = config_.frontend;
+    const auto window = command.realAt("window", kMinWindowSeconds,
+                                       *duration, frontendConfig.windowSec);
+    if (!window) {
+        return errorReply("serve-start needs " +
+                          util::jsonNumber(kMinWindowSeconds) +
+                          " <= window <= duration");
+    }
+    const auto rpsScale = command.realAt("rps_scale", kMinRpsScale,
+                                         kMaxRpsScale,
+                                         frontendConfig.rpsScale);
+    if (!rpsScale) {
+        return errorReply("serve-start needs " +
+                          util::jsonNumber(kMinRpsScale) +
+                          " <= rps_scale <= " +
+                          util::jsonNumber(kMaxRpsScale));
+    }
+
     frontendConfig.seed = config_.seed;
     frontendConfig.startAt = events_.now();
-    frontendConfig.endAt = events_.now() + duration;
-    frontendConfig.windowSec =
-        command.numberAt("window", frontendConfig.windowSec);
-    frontendConfig.rpsScale =
-        command.numberAt("rps_scale", frontendConfig.rpsScale);
+    frontendConfig.endAt = events_.now() + *duration;
+    frontendConfig.windowSec = *window;
+    frontendConfig.rpsScale = *rpsScale;
 
     const std::string shape = command.stringAt("shape", "steady");
     if (shape == "steady") {
         frontendConfig.curve = apps::RateCurve();
     } else if (shape == "diurnal") {
         frontendConfig.curve = shiftCurve(
-            apps::RateCurve::diurnal(duration, 0.5, 1.5),
+            apps::RateCurve::diurnal(*duration, 0.5, 1.5),
             events_.now());
     } else if (shape == "burst") {
         frontendConfig.curve = shiftCurve(
-            apps::RateCurve::burst(duration * 0.4, duration * 0.3,
+            apps::RateCurve::burst(*duration * 0.4, *duration * 0.3,
                                    1.0, 2.0),
             events_.now());
     } else {

@@ -31,7 +31,10 @@
  * One request's work is bounded: add-nodes takes an integral count in
  * [1, kMaxAddNodes], advance a finite horizon in
  * (0, kMaxAdvanceSeconds] and zone counts lie in [1, kMaxZones];
- * anything else is an error reply, never a hang. Longer runs issue
+ * serve-start takes a duration in [kMinWindowSeconds,
+ * kMaxServeSeconds], a window in [kMinWindowSeconds, duration] and an
+ * rps_scale in [kMinRpsScale, kMaxRpsScale]. Anything else is an
+ * error reply, never a hang. Longer runs issue
  * several advances. Every integer input (node ids, counts, zones,
  * seeds, pod coordinates) is range-checked before use: a node id must
  * name an existing node, and a non-integral or out-of-range value is
@@ -80,6 +83,16 @@ class ServeDaemon
     /** Most zones inject-scenario and the forecaster may partition
      * the cluster into. */
     static constexpr int64_t kMaxZones = 1024;
+    /** Longest serving run one serve-start may arm (one sim year). */
+    static constexpr double kMaxServeSeconds = 365.0 * 86400.0;
+    /** Shortest SLO window (and serving run) serve-start accepts: one
+     * advance closes at most kMaxAdvanceSeconds / kMinWindowSeconds
+     * windows. */
+    static constexpr double kMinWindowSeconds = 0.1;
+    /** Offered-load multiplier range serve-start accepts: the arrival
+     * rate bounds the work one advance can cause. */
+    static constexpr double kMinRpsScale = 1e-3;
+    static constexpr double kMaxRpsScale = 100.0;
 
     explicit ServeDaemon(DaemonConfig config = {});
 

@@ -33,6 +33,18 @@ setAllocCounterActive()
     active_ = true;
 }
 
+void *
+rawAlloc(std::size_t size) noexcept
+{
+    return std::malloc(size ? size : 1);
+}
+
+void
+rawFree(void *p) noexcept
+{
+    std::free(p);
+}
+
 } // namespace detail
 
 } // namespace phoenix::util

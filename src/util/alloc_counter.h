@@ -36,6 +36,16 @@ namespace detail {
 void bumpAllocCount();
 void setAllocCounterActive();
 
+/**
+ * std::malloc / std::free behind out-of-line calls. The replacement
+ * operators below use these instead of calling the C allocator
+ * inline: once a replacement operator delete is inlined into a caller,
+ * GCC sees free() applied to operator-new memory and reports
+ * -Wmismatched-new-delete, although the pairing is correct.
+ */
+void *rawAlloc(std::size_t size) noexcept;
+void rawFree(void *p) noexcept;
+
 /** Installs the flag from a namespace-scope initializer. */
 struct AllocCounterInstaller
 {
@@ -68,7 +78,7 @@ allocationsDuring(Fn &&fn)
     void *operator new(std::size_t size)                                 \
     {                                                                    \
         phoenix::util::detail::bumpAllocCount();                         \
-        if (void *p = std::malloc(size ? size : 1))                      \
+        if (void *p = phoenix::util::detail::rawAlloc(size))             \
             return p;                                                    \
         throw std::bad_alloc();                                          \
     }                                                                    \
@@ -80,30 +90,36 @@ allocationsDuring(Fn &&fn)
                        const std::nothrow_t &) noexcept                  \
     {                                                                    \
         phoenix::util::detail::bumpAllocCount();                         \
-        return std::malloc(size ? size : 1);                             \
+        return phoenix::util::detail::rawAlloc(size);                    \
     }                                                                    \
     void *operator new[](std::size_t size,                               \
                          const std::nothrow_t &nt) noexcept              \
     {                                                                    \
         return ::operator new(size, nt);                                 \
     }                                                                    \
-    void operator delete(void *p) noexcept { std::free(p); }             \
-    void operator delete[](void *p) noexcept { std::free(p); }           \
+    void operator delete(void *p) noexcept                               \
+    {                                                                    \
+        phoenix::util::detail::rawFree(p);                               \
+    }                                                                    \
+    void operator delete[](void *p) noexcept                             \
+    {                                                                    \
+        phoenix::util::detail::rawFree(p);                               \
+    }                                                                    \
     void operator delete(void *p, std::size_t) noexcept                  \
     {                                                                    \
-        std::free(p);                                                    \
+        phoenix::util::detail::rawFree(p);                               \
     }                                                                    \
     void operator delete[](void *p, std::size_t) noexcept                \
     {                                                                    \
-        std::free(p);                                                    \
+        phoenix::util::detail::rawFree(p);                               \
     }                                                                    \
     void operator delete(void *p, const std::nothrow_t &) noexcept       \
     {                                                                    \
-        std::free(p);                                                    \
+        phoenix::util::detail::rawFree(p);                               \
     }                                                                    \
     void operator delete[](void *p, const std::nothrow_t &) noexcept     \
     {                                                                    \
-        std::free(p);                                                    \
+        phoenix::util::detail::rawFree(p);                               \
     }
 #endif
 

@@ -72,6 +72,19 @@ JsonValue::integerAt(const std::string &dotted, int64_t lo, int64_t hi,
     return node->integer(lo, hi);
 }
 
+std::optional<double>
+JsonValue::realAt(const std::string &dotted, double lo, double hi,
+                  double fallback) const
+{
+    const JsonValue *node = path(dotted);
+    if (!node)
+        return fallback;
+    if (node->kind != Kind::Number || !std::isfinite(node->number) ||
+        node->number < lo || node->number > hi)
+        return std::nullopt;
+    return node->number;
+}
+
 namespace {
 
 class JsonParser

@@ -63,6 +63,14 @@ struct JsonValue
      */
     std::optional<int64_t> integerAt(const std::string &dotted, int64_t lo,
                                      int64_t hi, int64_t fallback) const;
+
+    /**
+     * Field as a finite number in [@p lo, @p hi], or @p fallback when
+     * the field is absent; nullopt when it is present but not a
+     * number, or is non-finite or out of range.
+     */
+    std::optional<double> realAt(const std::string &dotted, double lo,
+                                 double hi, double fallback) const;
 };
 
 /**

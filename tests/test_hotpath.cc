@@ -182,8 +182,9 @@ TEST(HotPath, ClusterStateCopyAllocatesPerNodeAndServiceNotPerPod)
             << replicas << " replicas per service, "
             << state.assignment().size() << " pods";
         // Every node holds pods in each run: 16x the pods, same blocks.
-        if (previous)
+        if (previous) {
             EXPECT_EQ(copy, *previous) << replicas << " replicas";
+        }
         previous = copy;
     }
 }

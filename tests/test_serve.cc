@@ -596,6 +596,58 @@ TEST(ServeDaemon, AdvanceRejectsUnboundedHorizons)
     EXPECT_NEAR(daemon.now(), ServeDaemon::kMaxAdvanceSeconds, 1e-9);
 }
 
+TEST(ServeDaemon, ServeStartRejectsWindowsThatNeverAdvance)
+{
+    ServeDaemon daemon;
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"load-testbed"})")));
+    // A window of 0 used to be accepted, and the next advance never
+    // returned: the window tick re-armed itself at the same instant.
+    for (const char *line :
+         {R"({"cmd":"serve-start","duration":100,"window":0})",
+          R"({"cmd":"serve-start","duration":100,"window":-5})",
+          R"({"cmd":"serve-start","duration":100,"window":1e-300})",
+          R"({"cmd":"serve-start","duration":100,"window":1e999})",
+          R"({"cmd":"serve-start","duration":100,"window":100.5})",
+          R"({"cmd":"serve-start","duration":100,"window":"5"})",
+          R"({"cmd":"serve-start","duration":0})",
+          R"({"cmd":"serve-start","duration":-1})",
+          R"({"cmd":"serve-start","duration":1e308})"}) {
+        auto rejected = reply(daemon, line);
+        EXPECT_FALSE(okOf(rejected)) << line;
+        EXPECT_FALSE(rejected.stringAt("error").empty()) << line;
+    }
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"advance","seconds":0.001})")));
+
+    // The bounds themselves are accepted.
+    EXPECT_TRUE(okOf(reply(
+        daemon, R"({"cmd":"serve-start","duration":100,"window":100})")));
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"advance","seconds":101})")));
+}
+
+TEST(ServeDaemon, ServeStartRejectsUnboundedArrivalRates)
+{
+    ServeDaemon daemon;
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"load-testbed"})")));
+    // rps_scale 1e9 used to be accepted, and a 5 s advance then ran
+    // for as long as anyone waited.
+    for (const char *line :
+         {R"({"cmd":"serve-start","duration":100,"rps_scale":1e9})",
+          R"({"cmd":"serve-start","duration":100,"rps_scale":100.5})",
+          R"({"cmd":"serve-start","duration":100,"rps_scale":1e999})",
+          R"({"cmd":"serve-start","duration":100,"rps_scale":0})",
+          R"({"cmd":"serve-start","duration":100,"rps_scale":-2})"}) {
+        auto rejected = reply(daemon, line);
+        EXPECT_FALSE(okOf(rejected)) << line;
+        EXPECT_FALSE(rejected.stringAt("error").empty()) << line;
+    }
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"advance","seconds":5})")));
+
+    EXPECT_TRUE(okOf(reply(
+        daemon, R"({"cmd":"serve-start","duration":100,"rps_scale":100})")));
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"advance","seconds":5})")));
+    EXPECT_GT(reply(daemon, R"({"cmd":"stats"})").numberAt("offered"), 0.0);
+}
+
 TEST(ServeDaemon, RejectsOutOfRangeScenarioNodes)
 {
     ServeDaemon daemon;

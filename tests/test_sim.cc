@@ -177,8 +177,9 @@ expectMatches(const ClusterState &state, const MapModel &model,
     ASSERT_EQ(got, want);
     ASSERT_EQ(state.assignment().size(), want.size());
     ASSERT_EQ(state.assignment().empty(), want.empty());
-    if (!want.empty())
+    if (!want.empty()) {
         ASSERT_EQ(*state.assignment().begin(), want.front());
+    }
 
     ASSERT_EQ(state.nodeCount(), model.capacity.size());
     for (NodeId n = 0; n < model.capacity.size(); ++n) {

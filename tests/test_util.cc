@@ -532,3 +532,29 @@ TEST(Json, IntegerAccessorRejectsNonIntegralAndOutOfRange)
     EXPECT_FALSE(text.integer(0, 10));
     EXPECT_FALSE(JsonValue().integer(0, 10)); // null
 }
+
+TEST(Json, RealAccessorRequiresAFiniteNumberInRange)
+{
+    JsonValue object;
+    ASSERT_TRUE(parseJson(R"({"a":2.5,"lo":0.1,"hi":100,"s":"3","big":1e999})",
+                          object));
+    EXPECT_EQ(object.realAt("a", 0.1, 100.0, 7.0), 2.5);
+    EXPECT_EQ(object.realAt("lo", 0.1, 100.0, 7.0), 0.1);
+    EXPECT_EQ(object.realAt("hi", 0.1, 100.0, 7.0), 100.0);
+    EXPECT_EQ(object.realAt("absent", 0.1, 100.0, 7.0), 7.0);
+    EXPECT_FALSE(object.realAt("a", 3.0, 100.0, 7.0));
+    EXPECT_FALSE(object.realAt("hi", 0.1, 99.5, 7.0));
+    EXPECT_FALSE(object.realAt("s", 0.1, 100.0, 7.0));
+    // An overflowing literal is infinite: rejected even with infinite
+    // bounds.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(object.realAt("big", -inf, inf, 7.0));
+
+    JsonValue nan;
+    nan.kind = JsonValue::Kind::Number;
+    nan.number = std::numeric_limits<double>::quiet_NaN();
+    JsonValue holder;
+    holder.kind = JsonValue::Kind::Object;
+    holder.fields.emplace_back("x", nan);
+    EXPECT_FALSE(holder.realAt("x", -inf, inf, 7.0));
+}
